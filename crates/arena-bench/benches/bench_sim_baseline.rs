@@ -216,11 +216,17 @@ fn bench_simulate_500(smoke: bool) -> BenchEntry {
     let jobs = make_jobs(n, 4, 120.0, 2);
     let cfg = SimConfig::new(14.0 * 24.0 * 3600.0);
     // Warm the plan caches once.
-    let _ = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+    let _ = Sim::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg)
+        .run(&jobs)
+        .expect("generated traces are valid");
     let iters = if smoke { 1 } else { 5 };
     time_loop(&format!("sim/simulate_{n}_jobs_arena"), iters, || {
         let mut p = ArenaPolicy::new();
-        black_box(simulate(&cluster, black_box(&jobs), &mut p, &service, &cfg));
+        black_box(
+            Sim::new(&cluster, &mut p, &service, &cfg)
+                .run(black_box(&jobs))
+                .expect("generated traces are valid"),
+        );
     })
 }
 
@@ -242,61 +248,25 @@ fn bench_simulate_loaded(smoke: bool) -> Vec<BenchEntry> {
     );
     let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
     // Warm the plan caches once.
-    let _ = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-    );
+    let _ = Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+        .faults(&faults)
+        .run(&jobs)
+        .expect("generated traces are valid");
     let iters = if smoke { 1 } else { 3 };
-    let serial = time_loop(
+    let loaded = time_loop(
         &format!("sim/simulate_{n}_jobs_faulted_fcfs"),
         iters,
         || {
             let mut p = FcfsPolicy::new();
-            black_box(simulate_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &faults,
-            ));
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &cfg)
+                    .faults(&faults)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            );
         },
     );
-    // A one-shard plan must cost the same as the serial engine: the
-    // sharded driver routes `shards == 1` straight through the serial
-    // path (DESIGN.md §12), so the merge-round machinery can never tax
-    // a degenerate plan. This entry pins that routing.
-    let shard1 = ShardPlan::per_pool(&cluster).with_shards(1);
-    let pinned = time_loop(
-        &format!("sim/simulate_{n}_jobs_faulted_fcfs_shard1"),
-        iters,
-        || {
-            let mut p = FcfsPolicy::new();
-            black_box(simulate_sharded_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &faults,
-                &shard1,
-            ));
-        },
-    );
-    if !smoke {
-        assert!(
-            pinned.mean_s <= serial.mean_s * 1.25,
-            "one-shard sharded run must track the serial engine \
-             (serial {:.3}s vs shard1 {:.3}s): the shards==1 routing broke",
-            serial.mean_s,
-            pinned.mean_s
-        );
-    }
-    vec![serial, pinned]
+    vec![loaded]
 }
 
 /// The loaded engine round through the sharded incremental driver —
@@ -324,15 +294,11 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
     let cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
     let plan = ShardPlan::per_pool(&cluster);
     // Warm the plan caches once.
-    let _ = simulate_sharded_with_faults(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-        &plan,
-    );
+    let _ = Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+        .faults(&faults)
+        .plan(&plan)
+        .run(&jobs)
+        .expect("generated traces are valid");
     // More iterations than the other loaded benches: the overhead gate
     // compares these two means at a 5% threshold, well inside this
     // host's run-to-run noise at 3 iterations.
@@ -342,15 +308,13 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
         iters,
         || {
             let mut p = FcfsPolicy::new();
-            black_box(simulate_sharded_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &faults,
-                &plan,
-            ));
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &cfg)
+                    .faults(&faults)
+                    .plan(&plan)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            );
         },
     );
     let registry = std::sync::Arc::new(MetricsRegistry::new(256));
@@ -358,16 +322,14 @@ fn bench_simulate_loaded_telemetry(smoke: bool) -> (Vec<BenchEntry>, BenchEntry)
     let name_on = format!("sim/simulate_{n}_jobs_faulted_fcfs_telemetry");
     let on = time_loop(&name_on, iters, || {
         let mut p = FcfsPolicy::new();
-        black_box(simulate_sharded_with_faults_traced(
-            &cluster,
-            black_box(&jobs),
-            &mut p,
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-            &plan,
-        ));
+        black_box(
+            Sim::new(&cluster, &mut p, &service, &cfg)
+                .faults(&faults)
+                .obs(&obs)
+                .plan(&plan)
+                .run(black_box(&jobs))
+                .expect("generated traces are valid"),
+        );
     });
     // The run must actually have fed the plane, or the gate is a no-op.
     assert!(
@@ -418,18 +380,18 @@ fn multipool_burst(n: u64, num_pools: usize) -> Vec<JobSpec> {
 
 /// The loaded multi-pool pair: a deep, class-diverse Arena-scheduled
 /// burst over the 4-pool simulated cluster, cold (fresh `PlanService`
-/// per iteration, like the cold decision-round benches), run through the
-/// serial engine and through the sharded decision loop (one shard per
-/// pool, workers sized to the machine). The sharded loop's
-/// `prepare_shards` pre-pass batches each flush round's cold candidate
-/// estimation into one fan-out instead of the serial loop's job-by-job
-/// fills; with more than one hardware thread that fan-out is a real
-/// wall-clock win, and on a single-core host the pool sizes itself to
-/// one worker and the sharded loop must track the serial engine to
-/// within its bookkeeping overhead. Output is byte-identical either
-/// way. `BENCH_sim_unsharded.json` freezes the serial mean under the
-/// sharded entry's name so CI can gate the committed ratio with
-/// `bench-check`.
+/// per iteration, like the cold decision-round benches), run at one
+/// executor shard with sequential workers (the `_serial` entry) and at
+/// one shard per pool with workers sized to the machine (the `_sharded`
+/// entry). The sharded run's `prepare_shards` pre-pass batches each
+/// flush round's cold candidate estimation into one fan-out instead of
+/// job-by-job fills; with more than one hardware thread that fan-out is
+/// a real wall-clock win, and on a single-core host the pool sizes
+/// itself to one worker and the sharded run must track the one-shard
+/// run to within its bookkeeping overhead. Output is byte-identical
+/// either way. `BENCH_sim_unsharded.json` freezes the one-shard mean
+/// under the sharded entry's name so CI can gate the committed ratio
+/// with `bench-check`.
 fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
     let cluster = arena::cluster::presets::table1_simulated();
     let n = if smoke { 60 } else { 600 };
@@ -451,20 +413,23 @@ fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
     // even on single-core hosts.
     {
         let service = PlanService::new(&cluster, CostParams::default(), 51);
-        let serial = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+        let serial = Sim::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg)
+            .run(&jobs)
+            .expect("generated traces are valid");
         let service = PlanService::new(&cluster, CostParams::default(), 51);
         let check = ShardPlan::per_pool(&cluster).with_workers(WorkerPool::new(4));
-        let sharded = simulate_sharded(
+        let sharded = Sim::new(
             &cluster,
-            &jobs,
             &mut ArenaPolicy::new().with_worker_threads(4),
             &service,
             &cfg,
-            &check,
-        );
+        )
+        .plan(&check)
+        .run(&jobs)
+        .expect("generated traces are valid");
         assert_eq!(
             serial.timeline, sharded.timeline,
-            "sharded bench fixture diverged from the serial engine"
+            "sharded bench fixture diverged from the one-shard run"
         );
     }
     let iters = if smoke { 1 } else { 5 };
@@ -472,19 +437,21 @@ fn bench_simulate_multipool(smoke: bool) -> Vec<BenchEntry> {
         time_loop("sim/simulate_multipool_arena_serial", iters, || {
             let service = PlanService::new(&cluster, CostParams::default(), 51);
             let mut p = ArenaPolicy::new();
-            black_box(simulate(&cluster, black_box(&jobs), &mut p, &service, &cfg));
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &cfg)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            );
         }),
         time_loop("sim/simulate_multipool_arena_sharded", iters, || {
             let service = PlanService::new(&cluster, CostParams::default(), 51);
             let mut p = ArenaPolicy::new().with_worker_threads(threads);
-            black_box(simulate_sharded(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &cfg,
-                &plan,
-            ));
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &cfg)
+                    .plan(&plan)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            );
         }),
     ]
 }
@@ -527,7 +494,9 @@ fn bench_stream_fleet(smoke: bool) -> Vec<BenchEntry> {
         let mut policy = FcfsPolicy::new();
         let mut source = TakeSource::new(GenSource::new(&trace_cfg), n);
         let t0 = Instant::now();
-        let summary = simulate_stream(&cluster, &mut policy, &service, &mut source, &cfg, &plan)
+        let summary = Sim::new(&cluster, &mut policy, &service, &cfg)
+            .plan(&plan)
+            .stream(&mut source)
             .expect("generator-backed source cannot fail");
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(summary.jobs.jobs, n, "generator ran dry before the cap");
@@ -613,11 +582,11 @@ fn main() {
         };
         write_bench_report("BENCH_sim_telemetry_off.json", &gate)
             .expect("write BENCH_sim_telemetry_off.json");
-        // The serial-engine reference for the sharded decision-loop
+        // The one-shard reference for the sharded decision-loop
         // gate, refreshed from this same run so both sides of the
         // comparison come off the same machine under the same load —
         // a stale frozen number drifts with host speed and fails the
-        // gate spuriously. The serial entry is renamed to the sharded
+        // gate spuriously. The one-shard entry is renamed to the sharded
         // entry's name, which is how bench-check pairs them.
         let serial = report
             .benches

@@ -15,56 +15,50 @@ fn bench_replay(c: &mut Criterion) {
 
     // Warm the plan caches once; the bench then measures the event loop
     // and policy logic, as in a long-running scheduler process.
-    let _ = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &sim_cfg);
+    let _ = Sim::new(&cluster, &mut ArenaPolicy::new(), &service, &sim_cfg)
+        .run(&jobs)
+        .expect("generated traces are valid");
 
     let mut group = c.benchmark_group("simulator/replay_2h_trace");
     group.sample_size(10);
     group.bench_function("fcfs", |b| {
         b.iter(|| {
             let mut p = FcfsPolicy::new();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &sim_cfg)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            )
         })
     });
     group.bench_function("elasticflow_ls", |b| {
         b.iter(|| {
             let mut p = ElasticFlowPolicy::loosened();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &sim_cfg)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            )
         })
     });
     group.bench_function("arena", |b| {
         b.iter(|| {
             let mut p = ArenaPolicy::new();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &sim_cfg)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            )
         })
     });
     group.bench_function("arena_solver", |b| {
         b.iter(|| {
             let mut p = ArenaSolverPolicy::new();
-            black_box(simulate(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-            ))
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &sim_cfg)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            )
         })
     });
     group.finish();
@@ -105,28 +99,22 @@ fn bench_loaded_faulted(c: &mut Criterion) {
         n as f64 * 30.0 * 1.4,
     );
     let sim_cfg = SimConfig::new(30.0 * 24.0 * 3600.0);
-    let _ = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &sim_cfg,
-        &faults,
-    );
+    let _ = Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &sim_cfg)
+        .faults(&faults)
+        .run(&jobs)
+        .expect("generated traces are valid");
 
     let mut group = c.benchmark_group("simulator/loaded_5k_faulted");
     group.sample_size(10);
     group.bench_function("fcfs", |b| {
         b.iter(|| {
             let mut p = FcfsPolicy::new();
-            black_box(simulate_with_faults(
-                &cluster,
-                black_box(&jobs),
-                &mut p,
-                &service,
-                &sim_cfg,
-                &faults,
-            ))
+            black_box(
+                Sim::new(&cluster, &mut p, &service, &sim_cfg)
+                    .faults(&faults)
+                    .run(black_box(&jobs))
+                    .expect("generated traces are valid"),
+            )
         })
     });
     group.finish();

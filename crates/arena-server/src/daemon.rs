@@ -20,11 +20,11 @@
 //! *before* the command's timestamp (`advance_before` stops at the
 //! first burst `te >= s - EPS`, exactly the window in which the batch
 //! loop would consume an arrival at `s`); a `fault` is queued without
-//! advancing, because the batch engines never simulate past the last
+//! advancing, because a batch run never simulates past the last
 //! arrival's drain and a queued fault is consumed at the right burst by
 //! whichever later input moves the clock. An online run fed the same
-//! trace is therefore byte-identical to `simulate_sharded*` — the
-//! contract pinned by `tests/server_e2e.rs`.
+//! trace is therefore byte-identical to a batch [`arena_sim::Sim::run`]
+//! — the contract pinned by `tests/server_e2e.rs`.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -677,7 +677,7 @@ fn apply(
                 })
         }
         Command::Fault(fault) => {
-            // Queue without advancing. The batch engines stop at the
+            // Queue without advancing. A batch run stops at the
             // first idle point after the arrival stream is exhausted and
             // never simulate trailing faults; advancing here would burst
             // through round ticks the batch run does not have. A queued

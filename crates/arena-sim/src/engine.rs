@@ -1,27 +1,69 @@
-//! The event loop: arrivals, rounds, restarts, completions.
+//! The event loop: arrivals, rounds, restarts, completions, faults.
 //!
-//! The loop is event-indexed (see `DESIGN.md`, "Engine event core"): a
-//! lazy-deletion min-heap predicts the next job event, `BTreeSet`
-//! membership indexes replace full job-table scans, and jobs advance
-//! lazily — only `Running` members of the active set, and only when time
-//! actually moves. All of it is bitwise-invisible: every floating-point
-//! accumulation happens with the same operands in the same (ascending
-//! job-index) order as the pre-index reference loop preserved in
-//! [`crate::reference`], which the `engine_equivalence` suite holds this
-//! file to byte-for-byte.
+//! [`Engine`] is the simulator's only event loop. It owns the whole
+//! simulation state — job table, per-shard event heaps and membership
+//! indexes, cluster books, fault log, timelines — and exposes the loop
+//! one *burst* at a time. Inputs (job submissions, fault events) arrive
+//! through [`Engine::submit`] / [`Engine::inject_fault`] at any point;
+//! [`Engine::advance_before`] processes every burst strictly earlier
+//! than a given instant so a caller replaying a timestamped command
+//! stream can interleave injection and advancement;
+//! [`Engine::close_input`] + [`Engine::run_to_end`] drain the
+//! remainder; [`Engine::finish`] folds the tail (conformance asserts,
+//! fault-log close-out, metric aggregation) into a [`SimResult`]. The
+//! batch and streaming drivers ([`crate::Sim`]) and the resident daemon
+//! are thin loops over this API.
+//!
+//! **Event core** (`DESIGN.md` §11). A lazy-deletion min-heap predicts
+//! the next job event, `BTreeSet` membership indexes replace full
+//! job-table scans, and jobs advance lazily — only `Running` members of
+//! the active set, and only when time actually moves. None of it is
+//! observable: every floating-point accumulation happens with the same
+//! operands in the same (ascending job-index) order as a full-table
+//! scan, and `tests/engine_equivalence.rs` holds the engine to a
+//! scan-everything oracle byte-for-byte.
+//!
+//! **Shards** (`DESIGN.md` §12). Each executor shard of the
+//! [`ShardPlan`] owns one heap and one pair of indexes over the jobs
+//! homed to it. Wherever the loop folds non-associative state it first
+//! merges the per-shard index sets back into ascending global order, so
+//! the shard count never shows up in output.
+//!
+//! **Interleaving.** Feeding a sorted trace through
+//! `submit`/`inject_fault` in any interleaving consistent with
+//! `advance_before(event time)` — including all-up-front, which is what
+//! [`crate::Sim::run`] does — produces byte-identical output. The
+//! argument is the burst-window lemma: a burst at time `te` consumes an
+//! arrival at `s` iff `s <= te + EPS`, i.e. `te >= s - EPS`;
+//! `advance_before(s)` stops at exactly the first burst with
+//! `te >= s - EPS`, so every burst it runs could not have seen the
+//! arrival, and the first burst that could runs after injection.
+//! `tests/server_e2e.rs` pins this across the batch/online boundary for
+//! all five policies, with and without faults.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use arena_cluster::{Allocation, Cluster, GpuTypeId};
 use arena_estimator::Interner;
-use arena_obs::{Decision, JobEventKind, Obs, StopCause, TraceReport};
+use arena_obs::{
+    labeled, Counter, Decision, Gauge, Histogram, JobEventKind, MetricsRegistry, Obs, Span,
+    StopCause, TraceReport,
+};
+use arena_runtime::merge_by_index;
 use arena_sched::PlanService;
-use arena_sched::{Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView};
+use arena_sched::{
+    Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView, ShardQueue,
+};
 use arena_trace::{FaultEvent, FaultKind, JobSpec};
 
 use crate::heap::EventHeap;
-use crate::metrics::{aggregate, FaultLog, JobRecord, Metrics};
+use crate::metrics::{
+    aggregate, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics, StreamSummary,
+};
+use crate::shard::ShardPlan;
+use crate::store::JobStore;
+use serde::Serialize;
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -72,8 +114,7 @@ pub struct SimResult {
     /// Aggregated metrics.
     pub metrics: Metrics,
     /// Everything the observability layer recorded. Empty unless the run
-    /// went through [`simulate_traced`] / [`simulate_with_faults_traced`]
-    /// with an enabled [`Obs`].
+    /// carried an enabled [`Obs`].
     pub trace: TraceReport,
 }
 
@@ -103,10 +144,9 @@ pub(crate) struct SJob {
     pub(crate) last_update_s: f64,
     pub(crate) remaining: f64,
     pub(crate) alloc: Option<Allocation>,
-    /// Home executor shard, fixed at arrival (always 0 in the serial
-    /// engine). Carried on the job rather than in a side table so that
-    /// reclaiming a terminal job's slot frees *all* of its per-job
-    /// state.
+    /// Home executor shard, fixed at arrival. Carried on the job rather
+    /// than in a side table so that reclaiming a terminal job's slot
+    /// frees *all* of its per-job state.
     pub(crate) home: usize,
     pub(crate) pool: usize,
     pub(crate) gpus: usize,
@@ -163,26 +203,25 @@ impl SJob {
     }
 }
 
-/// Membership indexes over the job table plus the pending-event heap.
+/// One executor shard's membership indexes plus its pending-event heap.
 ///
-/// Invariants: `queued` holds exactly the `Queued` job indices and
-/// `active` exactly the `Starting`/`Running` ones — both iterate in
-/// ascending index order, which is submission order, the same order the
-/// reference loop's full-table scans visit jobs in. Every active job has
-/// exactly one *fresh* heap entry (generation matches) carrying its next
-/// predicted event; everything else in the heap is stale and discarded
-/// lazily.
+/// Invariants: `queued` holds exactly the shard's `Queued` job indices
+/// and `active` exactly its `Starting`/`Running` ones — both iterate in
+/// ascending index order, which is submission order. Every active job
+/// has exactly one *fresh* heap entry (generation matches) carrying its
+/// next predicted event; everything else in the heap is stale and
+/// discarded lazily.
 #[derive(Default)]
-pub(crate) struct EventIndex {
-    pub(crate) queued: BTreeSet<usize>,
-    pub(crate) active: BTreeSet<usize>,
-    pub(crate) heap: EventHeap,
+struct EventIndex {
+    queued: BTreeSet<usize>,
+    active: BTreeSet<usize>,
+    heap: EventHeap,
 }
 
 impl EventIndex {
     /// Queued or active -> holding a fresh grant (`Starting`): schedules
     /// the start deadline and invalidates any previous prediction.
-    pub(crate) fn place(&mut self, j: &mut SJob, idx: usize, ready_at: f64) {
+    fn place(&mut self, j: &mut SJob, idx: usize, ready_at: f64) {
         self.queued.remove(&idx);
         self.active.insert(idx);
         j.generation += 1;
@@ -190,333 +229,1128 @@ impl EventIndex {
     }
 
     /// Active (or already queued, after a capacity race) -> `Queued`.
-    pub(crate) fn requeue(&mut self, j: &mut SJob, idx: usize) {
+    fn requeue(&mut self, j: &mut SJob, idx: usize) {
         self.active.remove(&idx);
         self.queued.insert(idx);
         j.generation += 1;
     }
 
     /// Any state -> terminal (`Finished` / `Dropped`).
-    pub(crate) fn retire(&mut self, j: &mut SJob, idx: usize) {
+    fn retire(&mut self, j: &mut SJob, idx: usize) {
         self.queued.remove(&idx);
         self.active.remove(&idx);
         j.generation += 1;
     }
 }
 
-pub(crate) const EPS: f64 = 1e-6;
+/// Window within which two event times count as simultaneous.
+const EPS: f64 = 1e-6;
 
-/// Runs `policy` over `jobs` on `cluster` and returns metrics.
-///
-/// The trace must be sorted by submission time (trace generators produce
-/// this order).
-///
-/// # Examples
-///
-/// ```
-/// use arena_cluster::presets;
-/// use arena_perf::CostParams;
-/// use arena_sched::{FcfsPolicy, PlanService};
-/// use arena_sim::{simulate, SimConfig};
-/// use arena_trace::{generate, TraceConfig, TraceKind};
-///
-/// let cluster = presets::physical_testbed();
-/// let service = PlanService::new(&cluster, CostParams::default(), 1);
-/// let trace = TraceConfig::new(TraceKind::PaiLow, 1800.0, 64, vec![48.0, 24.0]);
-/// let jobs = generate(&trace);
-/// let result = simulate(
-///     &cluster,
-///     &jobs,
-///     &mut FcfsPolicy::new(),
-///     &service,
-///     &SimConfig::new(24.0 * 3600.0),
-/// );
-/// assert_eq!(
-///     result.metrics.finished + result.metrics.dropped + result.metrics.unfinished,
-///     jobs.len()
-/// );
-/// ```
-///
-/// # Panics
-///
-/// Panics if the trace is not sorted by `submit_s` or the cluster books
-/// are corrupted by inconsistent policy actions (a bug, not an input
-/// error).
-#[must_use]
-pub fn simulate(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-) -> SimResult {
-    simulate_with_faults(cluster, jobs, policy, service, cfg, &[])
+/// Below this many live jobs, per-shard view fragments are built inline:
+/// a view build is an `Arc` bump plus a few scalar copies, so spawning
+/// scoped workers (~tens of µs) only pays off for very deep queues. Both
+/// paths produce identical fragments, so the cutoff is invisible in
+/// output.
+const PARALLEL_VIEW_CUTOFF: usize = 4096;
+
+/// Why the engine refused an input. Rejection happens *before* the input
+/// touches any engine state, so a caller can drop the bad input and keep
+/// going — the server's reject-and-continue contract.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InputError {
+    /// Input stream already closed via [`Engine::close_input`].
+    InputClosed,
+    /// The timestamp is NaN or infinite.
+    NonFiniteTime(f64),
+    /// Submissions must be non-decreasing in `submit_s`.
+    UnsortedSubmission {
+        /// Watermark of the latest accepted submission.
+        last_s: f64,
+        /// The offending submission time.
+        got_s: f64,
+    },
+    /// Fault events must be non-decreasing in `time_s`.
+    UnsortedFault {
+        /// Watermark of the latest accepted fault.
+        last_s: f64,
+        /// The offending fault time.
+        got_s: f64,
+    },
+    /// The input is timestamped earlier than the engine clock: the
+    /// burst that would consume it has already run.
+    TimeRegression {
+        /// Current engine clock.
+        now_s: f64,
+        /// The offending timestamp.
+        got_s: f64,
+    },
+    /// A job with this id was already accepted.
+    DuplicateJobId(u64),
+    /// The job requests a pool the cluster does not have.
+    NoSuchPool(usize),
+    /// The fault names a pool/node the cluster does not have.
+    NoSuchNode {
+        /// Pool index from the fault event.
+        pool: usize,
+        /// Node index from the fault event.
+        node: usize,
+    },
+    /// [`Engine::drop_job`] named a job the engine has never seen.
+    UnknownJob(u64),
 }
 
-/// Like [`simulate`], but records decision provenance, spans, counters and
-/// gauges into `obs` and returns the resulting [`TraceReport`] in
-/// [`SimResult::trace`]. With `Obs::disabled()` this is exactly
-/// [`simulate`].
-#[must_use]
-pub fn simulate_traced(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    obs: &Obs,
-) -> SimResult {
-    simulate_with_faults_traced(cluster, jobs, policy, service, cfg, &[], obs)
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InputError::InputClosed => write!(f, "input stream is closed"),
+            InputError::NonFiniteTime(t) => write!(f, "non-finite timestamp {t}"),
+            InputError::UnsortedSubmission { last_s, got_s } => {
+                write!(f, "submission at {got_s}s after watermark {last_s}s")
+            }
+            InputError::UnsortedFault { last_s, got_s } => {
+                write!(f, "fault at {got_s}s after watermark {last_s}s")
+            }
+            InputError::TimeRegression { now_s, got_s } => {
+                write!(f, "input at {got_s}s but engine clock is {now_s}s")
+            }
+            InputError::DuplicateJobId(id) => write!(f, "duplicate job id {id}"),
+            InputError::NoSuchPool(pool) => write!(f, "no pool {pool}"),
+            InputError::NoSuchNode { pool, node } => {
+                write!(f, "no node {node} in pool {pool}")
+            }
+            InputError::UnknownJob(id) => write!(f, "unknown job id {id}"),
+        }
+    }
 }
 
-/// Like [`simulate`], but injects a node-failure schedule (see
-/// [`arena_trace::generate_faults`]).
-///
-/// A `Failure` event marks the node failed in the cluster books, evicts
-/// every job whose allocation touches it, rolls each victim's progress
-/// back to its last checkpoint (`checkpoint_interval_s`), requeues the
-/// victims and notifies the policy with [`SchedEvent::NodeFailure`]; a
-/// `Repair` restores the node's capacity and fires
-/// [`SchedEvent::NodeRepair`]. Passing an empty schedule is exactly
-/// [`simulate`]: the zero-fault path is byte-for-byte identical.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate`], if `faults` is not
-/// sorted by time, or if a fault event names a node the cluster does not
-/// have.
-#[must_use]
-pub fn simulate_with_faults(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-) -> SimResult {
-    simulate_with_faults_traced(
-        cluster,
-        jobs,
-        policy,
-        service,
-        cfg,
-        faults,
-        &Obs::disabled(),
-    )
+impl std::error::Error for InputError {}
+
+/// A job's lifecycle phase as exposed in [`EngineState`] snapshots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum JobPhase {
+    /// Accepted but not yet due (submit time in the engine's future).
+    Pending,
+    /// Waiting in the scheduler queue.
+    Queued,
+    /// Holds GPUs, paying restart/profile overhead before running.
+    Starting,
+    /// Making progress.
+    Running,
+    /// Completed all iterations.
+    Finished,
+    /// Rejected or cancelled.
+    Dropped,
 }
 
-/// Like [`simulate_with_faults`], but records into `obs` (see
-/// [`simulate_traced`]). Engine-side provenance — node-failure evictions,
-/// capacity races, infeasible placements — is recorded as
-/// [`arena_obs::DecisionKind::Requeue`] decisions so it never mixes with
-/// the policies' own place/evict/drop records.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn simulate_with_faults_traced(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-    obs: &Obs,
-) -> SimResult {
-    assert!(
-        jobs.windows(2).all(|w| w[0].submit_s <= w[1].submit_s),
-        "trace must be sorted by submission time"
-    );
-    assert!(
-        faults.windows(2).all(|w| w[0].time_s <= w[1].time_s),
-        "fault schedule must be sorted by time"
-    );
-    let cluster_gpu_capacity = cluster.total_gpus();
-    if obs.is_enabled() {
-        let nodes: Vec<(usize, usize, usize)> = cluster
-            .pool_ids()
-            .flat_map(|pool| {
-                let cap = cluster.spec(pool).gpus_per_node;
-                (0..cluster.num_nodes(pool)).map(move |node| (pool.0, node, cap))
+impl JobPhase {
+    /// Stable lowercase label (used by the server's JSON encoding).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            JobPhase::Pending => "pending",
+            JobPhase::Queued => "queued",
+            JobPhase::Starting => "starting",
+            JobPhase::Running => "running",
+            JobPhase::Finished => "finished",
+            JobPhase::Dropped => "dropped",
+        }
+    }
+}
+
+/// One job's externally-visible status inside an [`EngineState`].
+#[derive(Debug, Clone, Serialize)]
+pub struct JobStatus {
+    /// Job id.
+    pub id: u64,
+    /// Job name.
+    pub name: String,
+    /// Lifecycle phase.
+    pub phase: JobPhase,
+    /// Pool holding the job's GPUs (meaningful while Starting/Running).
+    pub pool: usize,
+    /// GPUs currently held (0 unless Starting/Running).
+    pub gpus: usize,
+    /// Restart count so far.
+    pub restarts: u32,
+    /// Submission time, seconds.
+    pub submit_s: f64,
+    /// First progress time, if any.
+    pub start_s: Option<f64>,
+    /// Completion time, if any.
+    pub finish_s: Option<f64>,
+    /// Iterations still to run.
+    pub remaining_iters: f64,
+}
+
+/// Per-pool capacity books inside an [`EngineState`].
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct PoolSnapshot {
+    /// Pool index.
+    pub pool: usize,
+    /// Nameplate GPUs.
+    pub total_gpus: usize,
+    /// GPUs free on healthy nodes.
+    pub free_gpus: usize,
+    /// GPUs allocated to jobs.
+    pub used_gpus: usize,
+    /// GPUs on failed nodes.
+    pub failed_gpus: usize,
+}
+
+/// An immutable, internally-consistent view of the engine between two
+/// bursts — what the server publishes through its snapshot hub. Built by
+/// the single writer thread, so every count is taken from the same
+/// instant; the conservation invariants (`submitted` equals the sum of
+/// the six phase counts, per-pool `free + used + failed == total`, and
+/// `used == Σ gpus` over jobs holding GPUs) hold by construction and
+/// are pinned by the concurrent-reader suite.
+#[derive(Debug, Clone, Serialize)]
+pub struct EngineState {
+    /// Engine clock, seconds.
+    pub now_s: f64,
+    /// Jobs accepted (arrived or still pending).
+    pub submitted: usize,
+    /// Jobs accepted but not yet due.
+    pub pending: usize,
+    /// Jobs waiting in the queue.
+    pub queued: usize,
+    /// Jobs holding GPUs but not yet running.
+    pub starting: usize,
+    /// Jobs making progress.
+    pub running: usize,
+    /// Jobs completed.
+    pub finished: usize,
+    /// Jobs dropped or cancelled.
+    pub dropped: usize,
+    /// Whether the input stream is closed.
+    pub input_closed: bool,
+    /// Whether the run has fully drained (no further bursts possible).
+    pub drained: bool,
+    /// Per-pool capacity books.
+    pub pools: Vec<PoolSnapshot>,
+    /// Per-job statuses, ascending submission order (arrived jobs
+    /// first, then pending ones).
+    pub jobs: Vec<JobStatus>,
+}
+
+/// Pre-registered live-telemetry handles for the decision loop
+/// (DESIGN.md §14). Present only when the engine's [`Obs`] carries a
+/// [`MetricsRegistry`]; every update is a handful of relaxed atomic
+/// ops, so the plane stays on even inside the sharded hot path.
+struct EngineTelemetry {
+    /// Wall-clock of one full burst (advance + events + dispatch).
+    burst: Histogram,
+    /// Per-shard event-heap depth after each burst.
+    heap_depth: Vec<Gauge>,
+    /// Per-shard queued-job count after each burst.
+    queue_len: Vec<Gauge>,
+    /// Per-shard active (Starting/Running) job count after each burst.
+    active_len: Vec<Gauge>,
+    /// Per-shard candidate view-build latency (the parallel fan-out
+    /// stage; shards observe from worker threads).
+    candidate_gen: Vec<Histogram>,
+    /// Estimator cache hit ratios, refreshed after every dispatch.
+    est_hit_ratio: Gauge,
+    est_profile_ratio: Gauge,
+    est_table_ratio: Gauge,
+    /// Cumulative wall-clock spent computing fresh estimates, seconds.
+    est_seconds: Gauge,
+    /// Per-stage decision-loop latency, same names the span plane uses
+    /// so exposition and trace reports agree. Held as resolved handles:
+    /// the per-event path must never pay a name-routed lookup.
+    stage_merge: Histogram,
+    stage_prepare: Histogram,
+    stage_schedule: Histogram,
+    stage_commit: Histogram,
+    /// Actions emitted per scheduling pass.
+    actions_per_pass: Histogram,
+    /// Merged queue / running lengths at each dispatch.
+    queue_depth: Gauge,
+    running_jobs: Gauge,
+    /// One counter per static event label (see [`event_counter_name`]).
+    ev_arrival: Counter,
+    ev_departure: Counter,
+    ev_round: Counter,
+    ev_failure: Counter,
+    ev_repair: Counter,
+}
+
+impl EngineTelemetry {
+    fn new(reg: &MetricsRegistry, shards: usize) -> Self {
+        let shard_label = |base: &str, s: usize| labeled(base, &[("shard", &s.to_string())]);
+        EngineTelemetry {
+            burst: reg.histogram("sim.stage.burst_seconds"),
+            heap_depth: (0..shards)
+                .map(|s| reg.gauge(&shard_label("sim.shard.heap_depth", s)))
+                .collect(),
+            queue_len: (0..shards)
+                .map(|s| reg.gauge(&shard_label("sim.shard.queue_len", s)))
+                .collect(),
+            active_len: (0..shards)
+                .map(|s| reg.gauge(&shard_label("sim.shard.active_len", s)))
+                .collect(),
+            candidate_gen: (0..shards)
+                .map(|s| reg.histogram(&shard_label("sim.stage.candidate_gen_seconds", s)))
+                .collect(),
+            est_hit_ratio: reg.gauge("sim.estimator.estimate_hit_ratio"),
+            est_profile_ratio: reg.gauge("sim.estimator.profile_hit_ratio"),
+            est_table_ratio: reg.gauge("sim.estimator.table_hit_ratio"),
+            est_seconds: reg.gauge("sim.estimator.estimate_seconds"),
+            stage_merge: reg.histogram("sim.shard.merge"),
+            stage_prepare: reg.histogram("sim.shard.prepare"),
+            stage_schedule: reg.histogram("sim.schedule"),
+            stage_commit: reg.histogram("sim.commit"),
+            actions_per_pass: reg.histogram("sim.actions_per_pass"),
+            queue_depth: reg.gauge("sim.queue_depth"),
+            running_jobs: reg.gauge("sim.running_jobs"),
+            ev_arrival: reg.counter("sim.event.arrival"),
+            ev_departure: reg.counter("sim.event.departure"),
+            ev_round: reg.counter("sim.event.round"),
+            ev_failure: reg.counter("sim.event.node-failure"),
+            ev_repair: reg.counter("sim.event.node-repair"),
+        }
+    }
+
+    /// The pre-resolved counter for a static event label, if any.
+    fn event_counter(&self, label: &str) -> Option<&Counter> {
+        match label {
+            "arrival" => Some(&self.ev_arrival),
+            "departure" => Some(&self.ev_departure),
+            "round" => Some(&self.ev_round),
+            "node-failure" => Some(&self.ev_failure),
+            "node-repair" => Some(&self.ev_repair),
+            _ => None,
+        }
+    }
+
+    /// Refreshes the estimator gauges from a cache-stats snapshot.
+    fn observe_estimator(&self, est: &arena_estimator::CacheStatsSnapshot) {
+        let ratio = |hits: u64, misses: u64| {
+            let total = hits + misses;
+            if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            }
+        };
+        self.est_hit_ratio
+            .set(ratio(est.estimate_hits, est.estimate_misses));
+        self.est_profile_ratio
+            .set(ratio(est.profile_hits, est.profile_misses));
+        self.est_table_ratio
+            .set(ratio(est.table_hits, est.table_misses));
+        self.est_seconds.set(est.estimate_ns as f64 / 1e9);
+    }
+}
+
+/// Static counter name for a scheduling event label — same strings the
+/// trace plane always used, minus the per-event `format!` allocation.
+/// `None` for labels this table has never seen (callers fall back to
+/// formatting, preserving the historical counter name exactly).
+fn event_counter_name(label: &str) -> Option<&'static str> {
+    match label {
+        "arrival" => Some("sim.event.arrival"),
+        "departure" => Some("sim.event.departure"),
+        "round" => Some("sim.event.round"),
+        "node-failure" => Some("sim.event.node-failure"),
+        "node-repair" => Some("sim.event.node-repair"),
+        _ => None,
+    }
+}
+
+/// RAII stage timer for the decision loop. With live telemetry the
+/// latency lands in a pre-resolved registry histogram (two relaxed
+/// atomic adds, no name lookup); otherwise it falls back to the legacy
+/// span plane, which is bitwise-identical to the pre-telemetry build.
+enum StageGuard<'a> {
+    /// Held only for its `Drop`: the span records itself when released.
+    Span(#[allow(dead_code)] Span<'a>),
+    Direct(Histogram, std::time::Instant),
+}
+
+impl<'a> StageGuard<'a> {
+    /// Times into `hist` when live telemetry is on, else into the span
+    /// `name` of `obs`.
+    fn start(hist: Option<&Histogram>, obs: &'a Obs, name: &'static str) -> Self {
+        match hist {
+            Some(h) => StageGuard::Direct(h.clone(), std::time::Instant::now()),
+            None => StageGuard::Span(obs.span(name)),
+        }
+    }
+}
+
+impl Drop for StageGuard<'_> {
+    fn drop(&mut self) {
+        if let StageGuard::Direct(hist, started) = self {
+            hist.observe(started.elapsed().as_secs_f64());
+        }
+    }
+}
+
+/// The simulator's event loop. See the module docs for the API shape
+/// and the interleaving contract.
+pub struct Engine<'a> {
+    cluster: Cluster,
+    cfg: SimConfig,
+    plan: ShardPlan,
+    obs: Obs,
+    policy: &'a mut dyn Policy,
+    service: &'a PlanService,
+    sjobs: JobStore,
+    id_of: HashMap<u64, usize>,
+    seen_ids: HashSet<u64>,
+    // One event heap + membership index per executor shard; a job lives
+    // in the index of its home shard for its whole lifetime.
+    indexes: Vec<EventIndex>,
+    // Reusable buffer for merged walks over the per-shard index sets
+    // (see `take_walk`); taken out while a walk mutates the engine.
+    walk: Vec<usize>,
+    interner: Interner,
+    acquired: HashSet<(u32, usize, usize, usize)>,
+    t: f64,
+    flog: FaultLog,
+    next_round: f64,
+    timeline: Vec<(f64, f64)>,
+    raw_timeline: Vec<(f64, f64)>,
+    decisions: Vec<f64>,
+    pending_jobs: VecDeque<JobSpec>,
+    pending_faults: VecDeque<FaultEvent>,
+    last_submit_s: f64,
+    last_fault_s: f64,
+    input_open: bool,
+    stopped: bool,
+    cluster_gpu_capacity: usize,
+    tele: Option<EngineTelemetry>,
+    // Record-fold mode (streaming runs): terminal jobs fold into a
+    // constant-memory aggregate and release their job-table slot at the
+    // end of the burst that terminated them. Off by default — batch and
+    // daemon runs keep every record for `finish`.
+    fold_records: bool,
+    folded: FoldedRecords,
+    reclaim_pending: Vec<usize>,
+    decision_stats: DecisionStats,
+    peak_live_jobs: usize,
+    // Scheduling passes since construction; clocks the memory-ledger
+    // gauge refresh (see the dispatch tail).
+    mem_clock: u64,
+}
+
+impl<'a> Engine<'a> {
+    /// A fresh engine over a cluster, ready to accept inputs at `t = 0`.
+    #[must_use]
+    pub fn new(
+        cluster: &Cluster,
+        policy: &'a mut dyn Policy,
+        service: &'a PlanService,
+        cfg: &SimConfig,
+        obs: &Obs,
+        plan: &ShardPlan,
+    ) -> Self {
+        if obs.is_enabled() {
+            let nodes: Vec<(usize, usize, usize)> = cluster
+                .pool_ids()
+                .flat_map(|pool| {
+                    let cap = cluster.spec(pool).gpus_per_node;
+                    (0..cluster.num_nodes(pool)).map(move |node| (pool.0, node, cap))
+                })
+                .collect();
+            obs.timeline_nodes(&nodes);
+        }
+        Engine {
+            cluster: cluster.clone(),
+            cfg: cfg.clone(),
+            plan: plan.clone(),
+            obs: obs.clone(),
+            policy,
+            service,
+            sjobs: JobStore::new(),
+            id_of: HashMap::new(),
+            seen_ids: HashSet::new(),
+            indexes: (0..plan.shards()).map(|_| EventIndex::default()).collect(),
+            walk: Vec::new(),
+            interner: Interner::new(),
+            acquired: HashSet::new(),
+            t: 0.0,
+            flog: FaultLog::default(),
+            next_round: cfg.round_interval_s,
+            timeline: Vec::new(),
+            raw_timeline: Vec::new(),
+            decisions: Vec::new(),
+            pending_jobs: VecDeque::new(),
+            pending_faults: VecDeque::new(),
+            last_submit_s: f64::NEG_INFINITY,
+            last_fault_s: f64::NEG_INFINITY,
+            input_open: true,
+            stopped: false,
+            cluster_gpu_capacity: cluster.total_gpus(),
+            tele: obs
+                .metrics()
+                .map(|reg| EngineTelemetry::new(reg, plan.shards())),
+            fold_records: false,
+            folded: FoldedRecords::default(),
+            reclaim_pending: Vec::new(),
+            decision_stats: DecisionStats::default(),
+            peak_live_jobs: 0,
+            mem_clock: 0,
+        }
+    }
+
+    /// Switches the engine into record-fold mode for streaming runs:
+    /// terminal jobs fold into a [`FoldedRecords`] aggregate and their
+    /// job-table slot is reclaimed at the end of the burst that
+    /// terminated them, so resident memory follows the *live* job count
+    /// instead of the trace length. The duplicate-id ledger is skipped
+    /// too, which means [`Engine::submit`] / [`Engine::drop_job`] lose
+    /// duplicate/unknown detection — fold mode is for streaming drivers
+    /// ([`crate::Sim::stream`]), not the daemon. Finish such a run with
+    /// [`Engine::finish_stream`].
+    ///
+    /// Folding is invisible in scheduling output: a reclaimed job is
+    /// terminal, so every engine path already treated it as inert
+    /// (stale heap entries, id-miss `continue`s in the executor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job was already submitted.
+    pub fn enable_record_fold(&mut self) {
+        assert!(
+            self.sjobs.is_empty() && self.pending_jobs.is_empty(),
+            "record-fold mode must be enabled before any submission"
+        );
+        self.fold_records = true;
+    }
+
+    /// Engine clock, seconds.
+    #[must_use]
+    pub fn now(&self) -> f64 {
+        self.t
+    }
+
+    /// Whether the run has fully drained: no further burst can fire.
+    #[must_use]
+    pub fn drained(&self) -> bool {
+        self.stopped
+    }
+
+    /// Whether the input stream is still open.
+    #[must_use]
+    pub fn input_open(&self) -> bool {
+        self.input_open
+    }
+
+    /// Queues a job submission. Validation happens before any state is
+    /// touched; on `Err` the engine is exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// Rejects closed input, non-finite/unsorted/past timestamps,
+    /// requested pools the cluster does not have and duplicate job ids.
+    pub fn submit(&mut self, spec: JobSpec) -> Result<(), InputError> {
+        if !self.input_open {
+            return Err(InputError::InputClosed);
+        }
+        if !spec.submit_s.is_finite() {
+            return Err(InputError::NonFiniteTime(spec.submit_s));
+        }
+        if spec.submit_s < self.last_submit_s {
+            return Err(InputError::UnsortedSubmission {
+                last_s: self.last_submit_s,
+                got_s: spec.submit_s,
+            });
+        }
+        if spec.submit_s < self.t - EPS {
+            return Err(InputError::TimeRegression {
+                now_s: self.t,
+                got_s: spec.submit_s,
+            });
+        }
+        if spec.requested_pool >= self.cluster.num_pools() {
+            return Err(InputError::NoSuchPool(spec.requested_pool));
+        }
+        // The id ledger is O(trace length), so record-fold runs skip it
+        // and with it duplicate detection (see `enable_record_fold`).
+        if !self.fold_records && !self.seen_ids.insert(spec.id) {
+            return Err(InputError::DuplicateJobId(spec.id));
+        }
+        self.last_submit_s = spec.submit_s;
+        self.pending_jobs.push_back(spec);
+        Ok(())
+    }
+
+    /// Queues a fault event.
+    ///
+    /// # Errors
+    ///
+    /// Rejects closed input, non-finite/unsorted/past timestamps and
+    /// pool/node coordinates the cluster does not have.
+    pub fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), InputError> {
+        if !self.input_open {
+            return Err(InputError::InputClosed);
+        }
+        if !fault.time_s.is_finite() {
+            return Err(InputError::NonFiniteTime(fault.time_s));
+        }
+        if fault.time_s < self.last_fault_s {
+            return Err(InputError::UnsortedFault {
+                last_s: self.last_fault_s,
+                got_s: fault.time_s,
+            });
+        }
+        if fault.time_s < self.t - EPS {
+            return Err(InputError::TimeRegression {
+                now_s: self.t,
+                got_s: fault.time_s,
+            });
+        }
+        if fault.pool >= self.cluster.num_pools()
+            || fault.node >= self.cluster.num_nodes(GpuTypeId(fault.pool))
+        {
+            return Err(InputError::NoSuchNode {
+                pool: fault.pool,
+                node: fault.node,
+            });
+        }
+        self.last_fault_s = fault.time_s;
+        self.pending_faults.push_back(fault);
+        Ok(())
+    }
+
+    /// Declares the input stream complete: the drain loop may now
+    /// terminate once the queues empty. Idempotent.
+    pub fn close_input(&mut self) {
+        self.input_open = false;
+    }
+
+    /// Cancels a job online: releases its GPUs, marks it dropped and
+    /// lets the policy react to the departure. This is the engine-level
+    /// mirror of [`arena_sched::Action::Drop`] for operator-initiated
+    /// completions; it has no batch counterpart and therefore no place
+    /// in the equivalence fingerprint.
+    ///
+    /// # Errors
+    ///
+    /// Rejects ids the engine has never accepted.
+    pub fn drop_job(&mut self, id: u64) -> Result<(), InputError> {
+        if !self.seen_ids.contains(&id) {
+            return Err(InputError::UnknownJob(id));
+        }
+        if let Some(&idx) = self.id_of.get(&id) {
+            let t = self.t;
+            let j = &mut self.sjobs[idx];
+            if matches!(j.state, JState::Finished | JState::Dropped) {
+                return Ok(());
+            }
+            j.flush_run(t);
+            j.flush_alloc(t);
+            if let Some(alloc) = j.alloc.take() {
+                self.cluster.release(&alloc).expect("release cancelled job");
+                self.obs
+                    .alloc_event(t, id, alloc.pool.0, &alloc.node_gpus, false);
+            }
+            j.state = JState::Dropped;
+            self.obs.job_event(t, id, JobEventKind::Drop);
+            let home = self.sjobs[idx].home;
+            self.indexes[home].retire(&mut self.sjobs[idx], idx);
+            if self.fold_records {
+                self.reclaim_pending.push(idx);
+            }
+            self.dispatch(SchedEvent::Departure(id));
+            self.process_reclaims();
+        } else {
+            // Accepted but not yet arrived: cancel it in the input queue.
+            self.pending_jobs.retain(|s| s.id != id);
+        }
+        Ok(())
+    }
+
+    /// Runs bursts while the next burst time is strictly earlier than
+    /// `s - EPS` — i.e. while the burst could not consume an input
+    /// timestamped at `s` (see the module docs for the lemma). A caller
+    /// replaying a timestamped command stream calls
+    /// `advance_before(cmd.time)` then injects the command.
+    pub fn advance_before(&mut self, s: f64) {
+        while !self.stopped {
+            let te = self.peek_te();
+            if !te.is_finite() {
+                self.stopped = true;
+                break;
+            }
+            if te >= s - EPS {
+                break;
+            }
+            self.burst_timed(te);
+        }
+    }
+
+    /// Runs one burst. Returns `false` once the run has drained.
+    pub fn step(&mut self) -> bool {
+        if self.stopped {
+            return false;
+        }
+        let te = self.peek_te();
+        if !te.is_finite() {
+            self.stopped = true;
+            return false;
+        }
+        self.burst_timed(te);
+        !self.stopped
+    }
+
+    /// Drains every remaining burst.
+    pub fn run_to_end(&mut self) {
+        while self.step() {}
+    }
+
+    /// Builds an immutable status snapshot of the current state.
+    #[must_use]
+    pub fn state(&self) -> EngineState {
+        let mut jobs: Vec<JobStatus> =
+            Vec::with_capacity(self.sjobs.live() + self.pending_jobs.len());
+        let (mut queued, mut starting, mut running, mut finished, mut dropped) = (0, 0, 0, 0, 0);
+        for (_, j) in self.sjobs.iter() {
+            let phase = match j.state {
+                JState::Queued => {
+                    queued += 1;
+                    JobPhase::Queued
+                }
+                JState::Starting(_) => {
+                    starting += 1;
+                    JobPhase::Starting
+                }
+                JState::Running => {
+                    running += 1;
+                    JobPhase::Running
+                }
+                JState::Finished => {
+                    finished += 1;
+                    JobPhase::Finished
+                }
+                JState::Dropped => {
+                    dropped += 1;
+                    JobPhase::Dropped
+                }
+            };
+            let holds = j.active();
+            jobs.push(JobStatus {
+                id: j.spec.id,
+                name: j.spec.name.clone(),
+                phase,
+                pool: if holds { j.pool } else { 0 },
+                gpus: if holds { j.gpus } else { 0 },
+                restarts: j.restarts,
+                submit_s: j.spec.submit_s,
+                start_s: j.start_s,
+                finish_s: j.finish_s,
+                remaining_iters: j.remaining,
+            });
+        }
+        for spec in &self.pending_jobs {
+            jobs.push(JobStatus {
+                id: spec.id,
+                name: spec.name.clone(),
+                phase: JobPhase::Pending,
+                pool: 0,
+                gpus: 0,
+                restarts: 0,
+                submit_s: spec.submit_s,
+                start_s: None,
+                finish_s: None,
+                remaining_iters: spec.iterations as f64,
+            });
+        }
+        let pools = self
+            .cluster
+            .pool_stats()
+            .iter()
+            .map(|p| PoolSnapshot {
+                pool: p.id.0,
+                total_gpus: p.total_gpus,
+                free_gpus: p.free_gpus,
+                used_gpus: p.total_gpus - p.free_gpus - p.failed_gpus,
+                failed_gpus: p.failed_gpus,
             })
             .collect();
-        obs.timeline_nodes(&nodes);
-    }
-    let mut cluster = cluster.clone();
-    let mut sjobs: Vec<SJob> = Vec::with_capacity(jobs.len());
-    // First index in the job table carrying each job id — the same job
-    // a linear `find` by id would resolve to.
-    let mut id_of: HashMap<u64, usize> = HashMap::with_capacity(jobs.len());
-    let mut index = EventIndex::default();
-    // Indices collected before walks that mutate set membership.
-    let mut due: Vec<usize> = Vec::new();
-    // Plan databases are cached per configuration: the first job placed
-    // on a (model, batch, gpus, pool) combination pays the exploration or
-    // tuning wall-clock; later placements reuse the stored plan. Model
-    // names are interned so the key is four integers.
-    let interner = Interner::new();
-    let mut acquired: HashSet<(u32, usize, usize, usize)> = HashSet::new();
-    let mut t = 0.0_f64;
-    let mut arrival_idx = 0;
-    let mut fault_idx = 0;
-    let mut flog = FaultLog::default();
-    let mut next_round = cfg.round_interval_s;
-    let mut timeline: Vec<(f64, f64)> = Vec::new();
-    let mut raw_timeline: Vec<(f64, f64)> = Vec::new();
-    let mut decisions: Vec<f64> = Vec::new();
-
-    loop {
-        // Bound heap growth: stale entries below the top can't affect
-        // `next_fresh`, so this is purely a memory cap.
-        if index.heap.len() > 1024 && index.heap.len() > 8 * (index.active.len() + 1) {
-            let EventIndex { heap, .. } = &mut index;
-            heap.compact(|job, generation| sjobs[job].generation == generation);
+        // Folded (reclaimed) jobs keep counting toward the totals so the
+        // conservation invariant survives record-fold mode; their
+        // per-job statuses are gone by design.
+        EngineState {
+            now_s: self.t,
+            submitted: self.sjobs.live() + self.folded.jobs as usize + self.pending_jobs.len(),
+            pending: self.pending_jobs.len(),
+            queued,
+            starting,
+            running,
+            finished: finished + self.folded.finished as usize,
+            dropped: dropped + self.folded.dropped as usize,
+            input_closed: !self.input_open,
+            drained: self.stopped,
+            pools,
+            jobs,
         }
+    }
 
-        // Next event candidates. The heap replaces the reference loop's
-        // full-table scan; its fresh minimum is bitwise the same value
-        // that scan folds to (see DESIGN.md, "Engine event core").
-        let next_arrival = jobs.get(arrival_idx).map(|j| j.submit_s);
-        let next_fault = faults.get(fault_idx).map_or(f64::INFINITY, |f| f.time_s);
-        let next_job_event = index
-            .heap
-            .next_fresh(|job, generation| sjobs[job].generation == generation);
-        let te = [
+    /// Folds the drained run into a [`SimResult`]: conformance asserts,
+    /// fault-log close-out, open-segment flushes, metric aggregation,
+    /// estimator counter export.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a terminal job still holds GPUs (engine invariant), or
+    /// if the engine runs in record-fold mode (use
+    /// [`Engine::finish_stream`], which returns the folded aggregate
+    /// instead of per-job records).
+    #[must_use]
+    pub fn finish(mut self) -> SimResult {
+        assert!(
+            !self.fold_records,
+            "record-fold runs finish via finish_stream"
+        );
+        // Conformance: terminal jobs hold no GPUs, and each home shard's
+        // membership indexes agree with the job table.
+        for (i, j) in self.sjobs.iter() {
+            if matches!(j.state, JState::Finished | JState::Dropped) {
+                assert!(j.alloc.is_none(), "terminal job {} holds GPUs", j.spec.id);
+            }
+            debug_assert_eq!(
+                self.indexes[j.home].queued.contains(&i),
+                j.state == JState::Queued,
+                "queued index out of sync for job {}",
+                j.spec.id
+            );
+            debug_assert_eq!(
+                self.indexes[j.home].active.contains(&i),
+                j.active(),
+                "active index out of sync for job {}",
+                j.spec.id
+            );
+        }
+        self.flog.elapsed_s = self.t.min(self.cfg.horizon_s);
+        self.flog.gpu_capacity_s = self.cluster_gpu_capacity as f64 * self.flog.elapsed_s;
+        let t_end = self.flog.elapsed_s;
+        for (_, j) in self.sjobs.iter_mut() {
+            j.flush_run(t_end);
+            j.flush_alloc(t_end);
+        }
+        self.obs.timeline_close(t_end);
+
+        let records: Vec<JobRecord> = self.sjobs.iter().map(|(_, j)| job_record(j)).collect();
+        let metrics = aggregate(
+            &records,
+            &self.timeline,
+            &self.raw_timeline,
+            &self.decisions,
+            &self.flog,
+        );
+        if self.obs.is_enabled() {
+            let est = self.service.estimator_stats();
+            self.obs.incr("estimator.estimate.hits", est.estimate_hits);
+            self.obs
+                .incr("estimator.estimate.misses", est.estimate_misses);
+            self.obs.incr("estimator.profile.hits", est.profile_hits);
+            self.obs
+                .incr("estimator.profile.misses", est.profile_misses);
+            self.obs.incr("estimator.table.hits", est.table_hits);
+            self.obs.incr("estimator.table.misses", est.table_misses);
+        }
+        SimResult {
+            policy: self.policy.name().to_string(),
+            records,
+            timeline: self.timeline,
+            raw_timeline: self.raw_timeline,
+            metrics,
+            trace: self.obs.report(),
+        }
+    }
+
+    /// Folds a drained record-fold run into a [`StreamSummary`] — the
+    /// batch tail of [`Engine::finish`] without ever materialising the
+    /// record vector: residual (non-terminal) jobs flush their open
+    /// segments at `t_end` and fold like everything that already
+    /// terminated mid-run.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Engine::enable_record_fold`] was called, or if a
+    /// terminal job still holds GPUs (engine invariant).
+    #[must_use]
+    pub fn finish_stream(mut self) -> StreamSummary {
+        assert!(
+            self.fold_records,
+            "finish_stream requires record-fold mode (enable_record_fold)"
+        );
+        self.process_reclaims();
+        self.flog.elapsed_s = self.t.min(self.cfg.horizon_s);
+        self.flog.gpu_capacity_s = self.cluster_gpu_capacity as f64 * self.flog.elapsed_s;
+        let t_end = self.flog.elapsed_s;
+        let residual: Vec<usize> = self.sjobs.iter().map(|(i, _)| i).collect();
+        for idx in residual {
+            let j = &mut self.sjobs[idx];
+            if matches!(j.state, JState::Finished | JState::Dropped) {
+                assert!(j.alloc.is_none(), "terminal job {} holds GPUs", j.spec.id);
+            }
+            j.flush_run(t_end);
+            j.flush_alloc(t_end);
+            let rec = job_record(&self.sjobs[idx]);
+            self.folded.fold(&rec);
+            self.sjobs.reclaim(idx);
+        }
+        self.obs.timeline_close(t_end);
+        let folded = self.folded;
+        let flog = &self.flog;
+        StreamSummary {
+            policy: self.policy.name().to_string(),
+            fingerprint: folded.fingerprint(),
+            jobs: folded,
+            decisions: self.decision_stats,
+            // Fault-log derived rates, mirroring `aggregate`.
+            goodput_sps: if flog.elapsed_s > 0.0 {
+                (flog.samples_processed - flog.samples_lost).max(0.0) / flog.elapsed_s
+            } else {
+                0.0
+            },
+            work_lost_frac: if flog.samples_processed > 0.0 {
+                flog.samples_lost / flog.samples_processed
+            } else {
+                0.0
+            },
+            failure_evictions: flog.failure_evictions,
+            mean_recovery_s: if flog.recovery_times_s.is_empty() {
+                0.0
+            } else {
+                flog.recovery_times_s.iter().sum::<f64>() / flog.recovery_times_s.len() as f64
+            },
+            cluster_util_frac: if flog.gpu_capacity_s > 0.0 {
+                folded.productive_gpu_s / flog.gpu_capacity_s
+            } else {
+                0.0
+            },
+            elapsed_s: flog.elapsed_s,
+            peak_live_jobs: self.peak_live_jobs,
+            timeline: self.timeline,
+            raw_timeline: self.raw_timeline,
+        }
+    }
+
+    /// Folds every job queued for reclamation into the aggregate and
+    /// frees its slot. Deferred to burst end (and input-command
+    /// boundaries) so action lists and event handling inside the
+    /// terminating burst still resolve the job by id — between the
+    /// terminal transition and the reclaim, every path already treats
+    /// the job as inert.
+    fn process_reclaims(&mut self) {
+        while let Some(idx) = self.reclaim_pending.pop() {
+            let rec = {
+                let j = &self.sjobs[idx];
+                debug_assert!(
+                    matches!(j.state, JState::Finished | JState::Dropped),
+                    "reclaiming a non-terminal job"
+                );
+                job_record(j)
+            };
+            // A tolerated duplicate id maps to its first slot; only the
+            // mapping owner removes it.
+            if self.id_of.get(&rec.id).is_some_and(|&m| m == idx) {
+                self.id_of.remove(&rec.id);
+            }
+            self.folded.fold(&rec);
+            self.sjobs.reclaim(idx);
+        }
+    }
+
+    /// Heap maintenance plus the next-event computation. The per-shard
+    /// heaps partition the entries of one global heap, and `f64::min`
+    /// ignores NaN consistently, so the fold over per-shard fresh minima
+    /// is bitwise the global fresh minimum. Maintenance (lazy-deletion
+    /// compaction) is purely a memory cap, invisible in output.
+    fn peek_te(&mut self) -> f64 {
+        let sjobs = &self.sjobs;
+        for index in &mut self.indexes {
+            if index.heap.len() > 1024 && index.heap.len() > 8 * (index.active.len() + 1) {
+                let EventIndex { heap, .. } = index;
+                heap.compact(|job, generation| sjobs.is_fresh(job, generation));
+            }
+        }
+        let next_arrival = self.pending_jobs.front().map(|j| j.submit_s);
+        let next_fault = self
+            .pending_faults
+            .front()
+            .map_or(f64::INFINITY, |f| f.time_s);
+        let next_job_event = self
+            .indexes
+            .iter_mut()
+            .map(|ix| {
+                ix.heap
+                    .next_fresh(|job, generation| sjobs.is_fresh(job, generation))
+            })
+            .fold(f64::INFINITY, f64::min);
+        [
             next_arrival.unwrap_or(f64::INFINITY),
             next_fault,
-            next_round,
+            self.next_round,
             next_job_event,
-            cfg.horizon_s,
+            self.cfg.horizon_s,
         ]
         .into_iter()
-        .fold(f64::INFINITY, f64::min);
+        .fold(f64::INFINITY, f64::min)
+    }
 
-        if !te.is_finite() {
-            break;
+    /// [`Engine::burst`] wrapped in live telemetry: burst wall-clock
+    /// plus per-shard heap-depth/queue-length gauges. A no-op wrapper
+    /// when no registry is attached — the batch path pays nothing.
+    fn burst_timed(&mut self, te: f64) {
+        let timer = self
+            .tele
+            .as_ref()
+            .map(|tele| (tele.burst.clone(), std::time::Instant::now()));
+        self.burst(te);
+        if let Some((hist, started)) = timer {
+            hist.observe(started.elapsed().as_secs_f64());
+            if let Some(tele) = &self.tele {
+                for (s, ix) in self.indexes.iter().enumerate() {
+                    tele.heap_depth[s].set(ix.heap.len() as f64);
+                    tele.queue_len[s].set(ix.queued.len() as f64);
+                    tele.active_len[s].set(ix.active.len() as f64);
+                }
+            }
         }
+    }
 
-        // Advance running jobs to `te`. Lazy on two axes, both exact:
-        // only Running members of the active set step (everything else
-        // was a no-op in the reference loop), and zero-width bursts skip
-        // the walk entirely (`x + 0.0 == x`, `x % m == x` for
-        // `0 <= x < m`). Each advanced job's completion prediction is
-        // refreshed here — `te + remaining * iter_time` is exactly the
-        // value the reference scan would recompute next iteration.
-        let dt = (te - t).max(0.0);
+    /// One burst at `te`.
+    #[allow(clippy::too_many_lines)]
+    fn burst(&mut self, te: f64) {
+        // Advance running jobs to `te`. Merge round: the per-shard active
+        // sets are walked merged back into ascending global index, so
+        // `flog.samples_processed` accumulates with the same operands in
+        // the same order as a scan of the whole job table. Advancing and
+        // the Starting -> Running pass below change no set membership, so
+        // one walk serves both and then narrows to the completions.
+        let mut walk = self.take_walk(|ix| &ix.active);
+        let dt = (te - self.t).max(0.0);
         if dt > 0.0 {
-            let EventIndex { active, heap, .. } = &mut index;
-            for &i in active.iter() {
-                let j = &mut sjobs[i];
+            for &i in &walk {
+                let j = &mut self.sjobs[i];
                 if j.state == JState::Running && j.iter_time > 0.0 {
                     j.remaining = (j.remaining - dt / j.iter_time).max(0.0);
-                    flog.samples_processed += dt * j.sps;
+                    self.flog.samples_processed += dt * j.sps;
                     j.since_ckpt_s += dt;
-                    if cfg.checkpoint_interval_s > 0.0 && cfg.checkpoint_interval_s.is_finite() {
-                        j.since_ckpt_s %= cfg.checkpoint_interval_s;
+                    if self.cfg.checkpoint_interval_s > 0.0
+                        && self.cfg.checkpoint_interval_s.is_finite()
+                    {
+                        j.since_ckpt_s %= self.cfg.checkpoint_interval_s;
                     }
                     debug_assert!(j.last_update_s <= te, "job advanced backwards");
                     j.last_update_s = te;
                     j.generation += 1;
-                    heap.push(te + j.remaining * j.iter_time, j.generation, i);
+                    let (home, generation, wake) =
+                        (j.home, j.generation, te + j.remaining * j.iter_time);
+                    self.indexes[home].heap.push(wake, generation, i);
                 }
             }
         }
-        t = te;
-        if t >= cfg.horizon_s - EPS {
-            break;
+        self.t = te;
+        let t = te;
+        if t >= self.cfg.horizon_s - EPS {
+            self.walk = walk;
+            self.stopped = true;
+            return;
         }
 
-        // 1. Starting -> Running transitions due now. The heap wakes the
-        // loop at the earliest deadline; the EPS window means later
-        // deadlines can fire in the same burst, so the walk re-checks
-        // every active job rather than popping the heap.
-        {
-            let EventIndex { active, heap, .. } = &mut index;
-            for &i in active.iter() {
-                let j = &mut sjobs[i];
-                if let JState::Starting(r) = j.state {
-                    if r <= t + EPS {
-                        j.state = JState::Running;
-                        j.start_s.get_or_insert(t);
-                        j.since_ckpt_s = 0.0;
-                        // Split the allocation segment at the run boundary so
-                        // the accumulation order matches the timeline's
-                        // Placed/Running interval split bitwise.
-                        j.flush_alloc(t);
-                        j.alloc_since = Some(t);
-                        j.run_since = Some(t);
-                        j.last_update_s = t;
-                        if let Some(since) = j.recovering_since.take() {
-                            flog.recovery_times_s.push(t - since);
-                        }
-                        obs.job_event(t, j.spec.id, JobEventKind::RunStart);
-                        // Retire the start deadline, predict completion.
-                        j.generation += 1;
-                        heap.push(t + j.remaining * j.iter_time, j.generation, i);
+        // 1. Starting -> Running transitions due now, in merged global
+        // order (recovery-time pushes and RunStart events keep job-index
+        // order).
+        for &i in &walk {
+            let j = &mut self.sjobs[i];
+            if let JState::Starting(r) = j.state {
+                if r <= t + EPS {
+                    j.state = JState::Running;
+                    j.start_s.get_or_insert(t);
+                    j.since_ckpt_s = 0.0;
+                    j.flush_alloc(t);
+                    j.alloc_since = Some(t);
+                    j.run_since = Some(t);
+                    j.last_update_s = t;
+                    if let Some(since) = j.recovering_since.take() {
+                        self.flog.recovery_times_s.push(t - since);
                     }
+                    self.obs.job_event(t, j.spec.id, JobEventKind::RunStart);
+                    j.generation += 1;
+                    let (home, generation, wake) =
+                        (j.home, j.generation, t + j.remaining * j.iter_time);
+                    self.indexes[home].heap.push(wake, generation, i);
                 }
             }
         }
 
-        // 2. Completions due now (free resources before anything else).
+        // 2. Completions due now (free resources before anything else),
+        // merged so cluster releases and Finish events apply in global
+        // order.
         let mut event: Option<SchedEvent> = None;
-        due.clear();
-        due.extend(index.active.iter().copied().filter(|&i| {
-            let j = &sjobs[i];
+        walk.retain(|&i| {
+            let j = &self.sjobs[i];
             j.state == JState::Running && j.remaining <= EPS
-        }));
-        for &i in &due {
-            let j = &mut sjobs[i];
+        });
+        for &i in &walk {
+            let j = &mut self.sjobs[i];
             j.state = JState::Finished;
             j.finish_s = Some(t);
             j.flush_run(t);
             j.flush_alloc(t);
             if let Some(alloc) = j.alloc.take() {
-                cluster.release(&alloc).expect("release finished job");
-                obs.alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
+                self.cluster.release(&alloc).expect("release finished job");
+                self.obs
+                    .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
             }
-            obs.job_event(t, j.spec.id, JobEventKind::Finish);
+            self.obs.job_event(t, j.spec.id, JobEventKind::Finish);
             event = Some(SchedEvent::Departure(j.spec.id));
-            index.retire(&mut sjobs[i], i);
+            let home = self.sjobs[i].home;
+            self.indexes[home].retire(&mut self.sjobs[i], i);
+            if self.fold_records {
+                self.reclaim_pending.push(i);
+            }
         }
+        self.walk = walk;
 
-        // 2b. Fault events due now. Each gets its own scheduling pass so
-        // the policy can react to every transition individually.
-        while fault_idx < faults.len() && faults[fault_idx].time_s <= t + EPS {
-            let fault = &faults[fault_idx];
-            fault_idx += 1;
+        // 2b. Fault events due now. Victims are collected from the merged
+        // active walk and applied in global order, so requeue provenance
+        // does not depend on the shard count.
+        while self
+            .pending_faults
+            .front()
+            .is_some_and(|f| f.time_s <= t + EPS)
+        {
+            let fault = self.pending_faults.pop_front().expect("front checked");
             let pool = GpuTypeId(fault.pool);
             let ev = match fault.kind {
                 FaultKind::Failure => {
-                    cluster
+                    self.cluster
                         .fail_node(pool, fault.node)
                         .expect("fault schedule names a node the cluster has");
-                    obs.context(t, "engine", "node-failure");
-                    obs.incr("sim.fault.failure", 1);
-                    due.clear();
-                    due.extend(index.active.iter().copied().filter(|&i| {
-                        sjobs[i]
+                    self.obs.context(t, "engine", "node-failure");
+                    self.obs.incr("sim.fault.failure", 1);
+                    let mut victims = self.take_walk(|ix| &ix.active);
+                    victims.retain(|&i| {
+                        self.sjobs[i]
                             .alloc
                             .as_ref()
                             .is_some_and(|a| a.uses_node(pool, fault.node))
-                    }));
-                    for &i in &due {
-                        let j = &mut sjobs[i];
+                    });
+                    for &i in &victims {
+                        let j = &mut self.sjobs[i];
                         let alloc = j.alloc.take().expect("active job holds an allocation");
-                        cluster.release(&alloc).expect("release crashed job");
+                        self.cluster.release(&alloc).expect("release crashed job");
                         j.flush_run(t);
                         j.flush_alloc(t);
-                        obs.alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
-                        // A running victim loses everything since its
-                        // last checkpoint; a starting one had nothing to
-                        // lose (its checkpoint was saved at placement).
+                        self.obs
+                            .alloc_event(t, j.spec.id, alloc.pool.0, &alloc.node_gpus, false);
                         let mut rollback = 0.0;
                         if j.state == JState::Running && j.iter_time > 0.0 {
                             let lost_iters = (j.since_ckpt_s / j.iter_time)
                                 .min(j.spec.iterations as f64 - j.remaining);
                             j.remaining += lost_iters;
-                            flog.samples_lost += lost_iters * j.iter_time * j.sps;
+                            self.flog.samples_lost += lost_iters * j.iter_time * j.sps;
                             rollback = lost_iters;
                         }
-                        obs.job_event(
+                        self.obs.job_event(
                             t,
                             j.spec.id,
                             JobEventKind::Stop {
@@ -528,58 +1362,48 @@ pub fn simulate_with_faults_traced(
                         j.restarts += 1;
                         j.opportunistic = false;
                         j.since_ckpt_s = 0.0;
-                        // Keep the earliest failure time if the job is
-                        // knocked over again while restarting.
                         j.recovering_since.get_or_insert(t);
-                        flog.failure_evictions += 1;
-                        obs.decision(
+                        self.flog.failure_evictions += 1;
+                        self.obs.decision(
                             Decision::requeue(j.spec.id)
                                 .on_shard(j.spec.requested_pool as u32)
                                 .why("node-failure-evict"),
                         );
-                        index.requeue(&mut sjobs[i], i);
+                        let home = self.sjobs[i].home;
+                        self.indexes[home].requeue(&mut self.sjobs[i], i);
                     }
+                    self.walk = victims;
                     SchedEvent::NodeFailure {
                         pool,
                         node: fault.node,
                     }
                 }
                 FaultKind::Repair => {
-                    cluster
+                    self.cluster
                         .repair_node(pool, fault.node)
                         .expect("fault schedule names a node the cluster has");
-                    obs.incr("sim.fault.repair", 1);
+                    self.obs.incr("sim.fault.repair", 1);
                     SchedEvent::NodeRepair {
                         pool,
                         node: fault.node,
                     }
                 }
             };
-            dispatch(
-                ev,
-                &mut sjobs,
-                &mut index,
-                &id_of,
-                &mut cluster,
-                service,
-                policy,
-                cfg,
-                t,
-                &mut acquired,
-                &mut decisions,
-                obs,
-            );
+            self.dispatch(ev);
         }
 
-        // 3. Arrivals due now.
-        while arrival_idx < jobs.len() && jobs[arrival_idx].submit_s <= t + EPS {
-            let spec = Arc::new(jobs[arrival_idx].clone());
-            arrival_idx += 1;
+        // 3. Arrivals due now, homed onto their shard.
+        while self
+            .pending_jobs
+            .front()
+            .is_some_and(|s| s.submit_s <= t + EPS)
+        {
+            let spec = Arc::new(self.pending_jobs.pop_front().expect("front checked"));
             let iters = spec.iterations as f64;
             let id = spec.id;
-            let model_key = interner.intern(&spec.model.name());
-            let idx = sjobs.len();
-            sjobs.push(SJob {
+            let home = self.plan.shard_of_pool(spec.requested_pool);
+            let model_key = self.interner.intern(&spec.model.name());
+            let idx = self.sjobs.push(SJob {
                 spec,
                 model_key,
                 state: JState::Queued,
@@ -587,7 +1411,7 @@ pub fn simulate_with_faults_traced(
                 last_update_s: t,
                 remaining: iters,
                 alloc: None,
-                home: 0,
+                home,
                 pool: 0,
                 gpus: 0,
                 opportunistic: false,
@@ -605,183 +1429,507 @@ pub fn simulate_with_faults_traced(
                 productive_gpu_s: 0.0,
                 allocated_gpu_s: 0.0,
             });
-            id_of.entry(id).or_insert(idx);
-            index.queued.insert(idx);
-            obs.job_event(t, id, JobEventKind::Submit);
+            self.id_of.entry(id).or_insert(idx);
+            self.indexes[home].queued.insert(idx);
+            self.obs.job_event(t, id, JobEventKind::Submit);
             event = Some(SchedEvent::Arrival(id));
         }
 
         // 4. Round tick.
-        if next_round <= t + EPS {
-            next_round += cfg.round_interval_s;
+        if self.next_round <= t + EPS {
+            self.next_round += self.cfg.round_interval_s;
             event.get_or_insert(SchedEvent::Round);
         }
 
         // 5. Let the policy react.
         if let Some(ev) = event {
-            dispatch(
-                ev,
-                &mut sjobs,
-                &mut index,
-                &id_of,
-                &mut cluster,
-                service,
-                policy,
-                cfg,
-                t,
-                &mut acquired,
-                &mut decisions,
-                obs,
-            );
+            self.dispatch(ev);
         }
 
-        // 6. Sample the throughput timeline at round boundaries.
+        // 6. Sample the throughput timeline at round boundaries: both
+        // sums fold the merged (ascending global index) running stream.
         if matches!(event, Some(SchedEvent::Round)) {
-            timeline.push((t, normalized_throughput(&sjobs, &index.active, service)));
-            raw_timeline.push((t, raw_throughput(&sjobs, &index.active)));
-        }
-
-        // Termination: no arrivals left, nothing queued or active.
-        if arrival_idx >= jobs.len() && index.queued.is_empty() && index.active.is_empty() {
-            break;
-        }
-    }
-
-    // Conformance: a finished or dropped job must not hold GPUs, and the
-    // membership indexes must agree with the job table.
-    for (i, j) in sjobs.iter().enumerate() {
-        if matches!(j.state, JState::Finished | JState::Dropped) {
-            assert!(j.alloc.is_none(), "terminal job {} holds GPUs", j.spec.id);
-        }
-        debug_assert_eq!(
-            index.queued.contains(&i),
-            j.state == JState::Queued,
-            "queued index out of sync for job {}",
-            j.spec.id
-        );
-        debug_assert_eq!(
-            index.active.contains(&i),
-            j.active(),
-            "active index out of sync for job {}",
-            j.spec.id
-        );
-    }
-    flog.elapsed_s = t.min(cfg.horizon_s);
-    flog.gpu_capacity_s = cluster_gpu_capacity as f64 * flog.elapsed_s;
-    // Close open accounting segments at the end of the run — the same
-    // cutoff the timeline applies to still-open intervals.
-    let t_end = flog.elapsed_s;
-    for j in &mut sjobs {
-        j.flush_run(t_end);
-        j.flush_alloc(t_end);
-    }
-    obs.timeline_close(t_end);
-
-    let records: Vec<JobRecord> = sjobs
-        .iter()
-        .map(|j| JobRecord {
-            id: j.spec.id,
-            name: j.spec.name.clone(),
-            submit_s: j.spec.submit_s,
-            start_s: j.start_s,
-            finish_s: j.finish_s,
-            dropped: j.state == JState::Dropped,
-            restarts: j.restarts,
-            run_s: j.run_s,
-            productive_gpu_s: j.productive_gpu_s,
-            allocated_gpu_s: j.allocated_gpu_s,
-            deadline_met: j
-                .spec
-                .deadline_s
-                .map(|d| j.finish_s.is_some_and(|f| f <= d)),
-        })
-        .collect();
-    let metrics = aggregate(&records, &timeline, &raw_timeline, &decisions, &flog);
-    if obs.is_enabled() {
-        let est = service.estimator_stats();
-        obs.incr("estimator.estimate.hits", est.estimate_hits);
-        obs.incr("estimator.estimate.misses", est.estimate_misses);
-        obs.incr("estimator.profile.hits", est.profile_hits);
-        obs.incr("estimator.profile.misses", est.profile_misses);
-        obs.incr("estimator.table.hits", est.table_hits);
-        obs.incr("estimator.table.misses", est.table_misses);
-    }
-    SimResult {
-        policy: policy.name().to_string(),
-        records,
-        timeline,
-        raw_timeline,
-        metrics,
-        trace: obs.report(),
-    }
-}
-
-/// Builds the policy's view, asks it for actions, and executes them.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    ev: SchedEvent,
-    sjobs: &mut [SJob],
-    index: &mut EventIndex,
-    id_of: &HashMap<u64, usize>,
-    cluster: &mut Cluster,
-    service: &PlanService,
-    policy: &mut dyn Policy,
-    cfg: &SimConfig,
-    t: f64,
-    acquired: &mut HashSet<(u32, usize, usize, usize)>,
-    decisions: &mut Vec<f64>,
-    obs: &Obs,
-) {
-    let actions = {
-        debug_assert!(
-            index
-                .queued
+            let mut running = self.take_walk(|ix| &ix.active);
+            running.retain(|&i| self.sjobs[i].state == JState::Running);
+            let norm: f64 = running
                 .iter()
-                .all(|&i| sjobs[i].state == JState::Queued),
-            "queued index holds a non-queued job"
-        );
-        debug_assert!(
-            index.active.iter().all(|&i| sjobs[i].active()),
-            "active index holds an inactive job"
-        );
-        let queued: Vec<JobView> = index.queued.iter().map(|&i| job_view(&sjobs[i])).collect();
-        let running: Vec<JobView> = index.active.iter().map(|&i| job_view(&sjobs[i])).collect();
-        let pools = cluster.pool_stats();
-        if obs.is_enabled() {
-            obs.context(t, policy.name(), ev.label());
-            obs.incr(&format!("sim.event.{}", ev.label()), 1);
-            obs.gauge("sim.queue_depth", t, queued.len() as f64);
-            obs.gauge("sim.running_jobs", t, running.len() as f64);
+                .map(|&i| self.sjobs[i].sps / self.service.ideal_sps(&self.sjobs[i].spec))
+                .sum();
+            let raw: f64 = running.iter().map(|&i| self.sjobs[i].sps).sum();
+            self.walk = running;
+            self.timeline.push((t, norm));
+            self.raw_timeline.push((t, raw));
         }
-        let view = SchedView {
-            now_s: t,
-            queued: &queued,
-            running: &running,
-            pools: &pools,
-            service,
-            obs: obs.clone(),
-        };
-        let started = std::time::Instant::now();
+
+        // Termination: input closed, no arrivals left, nothing queued or
+        // active.
+        if !self.input_open
+            && self.pending_jobs.is_empty()
+            && self
+                .indexes
+                .iter()
+                .all(|ix| ix.queued.is_empty() && ix.active.is_empty())
+        {
+            self.stopped = true;
+        }
+
+        // Burst end: record the live high-water mark (the streaming
+        // memory-model's working-set measure) and return terminal jobs'
+        // slots in record-fold mode.
+        let live: usize = self
+            .indexes
+            .iter()
+            .map(|ix| ix.queued.len() + ix.active.len())
+            .sum();
+        self.peak_live_jobs = self.peak_live_jobs.max(live);
+        if !self.reclaim_pending.is_empty() {
+            self.process_reclaims();
+        }
+    }
+
+    /// Lends out the reusable walk buffer filled with one per-shard index
+    /// set merged into ascending global (submission) order — the order a
+    /// single global set iterates in. Store the buffer back in
+    /// `self.walk` when done so its capacity is reused.
+    fn take_walk(&mut self, set: fn(&EventIndex) -> &BTreeSet<usize>) -> Vec<usize> {
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clear();
+        walk.extend(self.indexes.iter().flat_map(|ix| set(ix).iter().copied()));
+        if self.indexes.len() > 1 {
+            // The per-shard sets hold disjoint indices, so sorting their
+            // concatenation is exactly the k-way merge.
+            walk.sort_unstable();
+        }
+        walk
+    }
+
+    /// Builds the policy's view shard-by-shard, merges the fragments,
+    /// runs the policy's per-shard pre-pass and scheduling pass, and
+    /// executes the actions.
+    fn dispatch(&mut self, ev: SchedEvent) {
+        let t = self.t;
+        let service = self.service;
+        // Stage guards borrow this handle, leaving `self` free for walks.
+        let obs = self.obs.clone();
         let actions = {
-            let _span = obs.span("sim.schedule");
-            policy.schedule(ev, &view)
+            debug_assert!(
+                self.indexes
+                    .iter()
+                    .flat_map(|ix| ix.queued.iter())
+                    .all(|&i| self.sjobs[i].state == JState::Queued),
+                "queued index holds a non-queued job"
+            );
+            debug_assert!(
+                self.indexes
+                    .iter()
+                    .flat_map(|ix| ix.active.iter())
+                    .all(|&i| self.sjobs[i].active()),
+                "active index holds an inactive job"
+            );
+            // Merge round: per-shard index streams fold back into ascending
+            // global (submission) order, so the policy sees the same queue
+            // and running vectors at any shard count. Each job's view is
+            // constructed exactly once on either path: the parallel path
+            // builds per-shard fragments on the worker pool and *moves*
+            // their views through the merge; the inline path builds the
+            // merged vectors directly from merged walks of the index sets.
+            let live: usize = self
+                .indexes
+                .iter()
+                .map(|ix| ix.queued.len() + ix.active.len())
+                .sum();
+            let parallel = self.plan.workers().threads() > 1
+                && self.indexes.len() > 1
+                && live >= PARALLEL_VIEW_CUTOFF;
+            let (queued, running): (Vec<JobView>, Vec<JobView>) = if parallel {
+                let mut frags: Vec<ViewFragment> = {
+                    let sjobs: &JobStore = &self.sjobs;
+                    // Per-shard candidate-gen latency: each worker times
+                    // its own fragment build into that shard's histogram
+                    // (atomics, thread-safe).
+                    let hists: Vec<Option<Histogram>> = match &self.tele {
+                        Some(tele) => tele.candidate_gen.iter().map(|h| Some(h.clone())).collect(),
+                        None => self.indexes.iter().map(|_| None).collect(),
+                    };
+                    self.plan.workers().run_all(
+                        self.indexes
+                            .iter()
+                            .zip(hists)
+                            .map(|(ix, hist)| {
+                                move || {
+                                    let started = hist.as_ref().map(|_| std::time::Instant::now());
+                                    let frag = build_fragment(ix, sjobs);
+                                    if let (Some(h), Some(s)) = (hist, started) {
+                                        h.observe(s.elapsed().as_secs_f64());
+                                    }
+                                    frag
+                                }
+                            })
+                            .collect(),
+                    )
+                };
+                let _merge = StageGuard::start(
+                    self.tele.as_ref().map(|t| &t.stage_merge),
+                    &obs,
+                    "sim.shard.merge",
+                );
+                let queued = merge_by_index(
+                    frags
+                        .iter_mut()
+                        .map(|f| {
+                            f.queued_idx
+                                .iter()
+                                .copied()
+                                .zip(f.queued.drain(..))
+                                .collect()
+                        })
+                        .collect(),
+                );
+                let running = merge_by_index(
+                    frags
+                        .iter_mut()
+                        .map(|f| {
+                            f.active_idx
+                                .iter()
+                                .copied()
+                                .zip(f.active.drain(..))
+                                .collect()
+                        })
+                        .collect(),
+                );
+                (
+                    queued.into_iter().map(|(_, v)| v).collect(),
+                    running.into_iter().map(|(_, v)| v).collect(),
+                )
+            } else {
+                let _merge = StageGuard::start(
+                    self.tele.as_ref().map(|t| &t.stage_merge),
+                    &obs,
+                    "sim.shard.merge",
+                );
+                if let [ix] = self.indexes.as_slice() {
+                    // One shard's sets already iterate in global order.
+                    let views = |set: &BTreeSet<usize>| -> Vec<JobView> {
+                        set.iter().map(|&i| job_view(&self.sjobs[i])).collect()
+                    };
+                    (views(&ix.queued), views(&ix.active))
+                } else {
+                    let walk = self.take_walk(|ix| &ix.queued);
+                    let queued = walk.iter().map(|&i| job_view(&self.sjobs[i])).collect();
+                    self.walk = walk;
+                    let walk = self.take_walk(|ix| &ix.active);
+                    let running = walk.iter().map(|&i| job_view(&self.sjobs[i])).collect();
+                    self.walk = walk;
+                    (queued, running)
+                }
+            };
+            let pools = self.cluster.pool_stats();
+            if self.obs.is_enabled() {
+                self.obs.context(t, self.policy.name(), ev.label());
+            }
+            if let Some(tele) = &self.tele {
+                // Registry fast path: pre-resolved handles, no name
+                // routing. `tele` is Some exactly when metrics are on.
+                match tele.event_counter(ev.label()) {
+                    Some(c) => c.incr(1),
+                    None => self.obs.incr(&format!("sim.event.{}", ev.label()), 1),
+                }
+                tele.queue_depth.set(queued.len() as f64);
+                tele.running_jobs.set(running.len() as f64);
+            } else if self.obs.is_enabled() {
+                match event_counter_name(ev.label()) {
+                    Some(name) => self.obs.incr(name, 1),
+                    None => self.obs.incr(&format!("sim.event.{}", ev.label()), 1),
+                }
+                self.obs.gauge("sim.queue_depth", t, queued.len() as f64);
+                self.obs.gauge("sim.running_jobs", t, running.len() as f64);
+            }
+            let view = SchedView {
+                now_s: t,
+                queued: &queued,
+                running: &running,
+                pools: &pools,
+                service,
+                obs: obs.clone(),
+            };
+            // Per-shard pre-pass: policies may warm caches concurrently but
+            // must not change what `schedule` returns. The per-shard queues
+            // lend references into the merged vector, routed by home shard
+            // (a pure function of the requested pool); merged order is
+            // ascending within each shard, so every shard sees its jobs in
+            // arrival order.
+            {
+                let _prepare = StageGuard::start(
+                    self.tele.as_ref().map(|t| &t.stage_prepare),
+                    &obs,
+                    "sim.shard.prepare",
+                );
+                let shard_queues: Vec<ShardQueue<'_>> = if self.indexes.len() == 1 {
+                    vec![ShardQueue {
+                        shard: 0,
+                        queued: queued.iter().collect(),
+                    }]
+                } else {
+                    let mut split: Vec<Vec<&JobView>> =
+                        (0..self.indexes.len()).map(|_| Vec::new()).collect();
+                    for v in &queued {
+                        split[self.plan.shard_of_pool(v.spec.requested_pool)].push(v);
+                    }
+                    split
+                        .into_iter()
+                        .enumerate()
+                        .map(|(shard, queued)| ShardQueue { shard, queued })
+                        .collect()
+                };
+                self.policy.prepare_shards(&shard_queues, &view);
+            }
+            let started = std::time::Instant::now();
+            let actions = if self.tele.is_some() {
+                // Registry path reuses the decision-latency clock below
+                // instead of opening a span (one Instant pair saved).
+                self.policy.schedule(ev, &view)
+            } else {
+                let _span = self.obs.span("sim.schedule");
+                self.policy.schedule(ev, &view)
+            };
+            let decision_s = started.elapsed().as_secs_f64();
+            self.decision_stats.observe(decision_s);
+            if !self.fold_records {
+                // The per-decision vector only feeds `finish`'s mean;
+                // fold mode keeps the running stats instead.
+                self.decisions.push(decision_s);
+            }
+            if let Some(tele) = &self.tele {
+                tele.stage_schedule.observe(decision_s);
+                tele.actions_per_pass.observe(actions.len() as f64);
+            } else {
+                self.obs
+                    .observe("sim.actions_per_pass", actions.len() as f64);
+            }
+            actions
         };
-        decisions.push(started.elapsed().as_secs_f64());
-        obs.observe("sim.actions_per_pass", actions.len() as f64);
-        actions
-    };
-    execute(
-        &actions, sjobs, index, id_of, cluster, service, policy, cfg, t, acquired, obs,
-    );
+        {
+            // Commit stage: action execution against the cluster books.
+            let _commit = StageGuard::start(
+                self.tele.as_ref().map(|t| &t.stage_commit),
+                &obs,
+                "sim.commit",
+            );
+            self.execute(&actions);
+        }
+        if let Some(tele) = &self.tele {
+            tele.observe_estimator(&self.service.estimator_stats());
+        }
+        // Memory-ledger gauges refresh on a 1-in-64 pass clock (first
+        // pass included, so a scrape right after the first submit
+        // already carries the series): the section walk allocates its
+        // report, so riding every burst showed up on the loaded
+        // telemetry bench, while this cadence keeps a daemon's
+        // `query metrics` scrape at most a few dozen decisions stale.
+        // Registry-less runs skip the ledger walk entirely.
+        let publish_mem = self.mem_clock.is_multiple_of(64);
+        self.mem_clock += 1;
+        if !publish_mem {
+            return;
+        }
+        if let Some(reg) = self.obs.metrics() {
+            let mut sections = self.service.estimator().mem_report();
+            sections.extend(self.service.mem_report());
+            arena_obs::publish_mem_sections(reg, &sections);
+        }
+    }
+
+    /// Executes scheduling actions in the policy's emission order, with
+    /// index membership routed to each job's home shard.
+    #[allow(clippy::too_many_lines)]
+    fn execute(&mut self, actions: &[Action]) {
+        let t = self.t;
+        for action in actions {
+            match *action {
+                Action::Drop { job } => {
+                    let Some(&idx) = self.id_of.get(&job) else {
+                        continue;
+                    };
+                    let j = &mut self.sjobs[idx];
+                    if matches!(j.state, JState::Finished | JState::Dropped) {
+                        continue;
+                    }
+                    j.flush_run(t);
+                    j.flush_alloc(t);
+                    if let Some(alloc) = j.alloc.take() {
+                        self.cluster.release(&alloc).expect("release dropped job");
+                        self.obs
+                            .alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
+                    }
+                    j.state = JState::Dropped;
+                    self.obs.job_event(t, job, JobEventKind::Drop);
+                    let home = self.sjobs[idx].home;
+                    self.indexes[home].retire(&mut self.sjobs[idx], idx);
+                    if self.fold_records {
+                        self.reclaim_pending.push(idx);
+                    }
+                }
+                Action::Evict { job } => {
+                    let Some(&idx) = self.id_of.get(&job) else {
+                        continue;
+                    };
+                    let j = &mut self.sjobs[idx];
+                    if j.active() {
+                        j.flush_run(t);
+                        j.flush_alloc(t);
+                        if let Some(alloc) = j.alloc.take() {
+                            self.cluster.release(&alloc).expect("release evicted job");
+                            self.obs
+                                .alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
+                        }
+                        j.state = JState::Queued;
+                        j.restarts += 1;
+                        j.opportunistic = false;
+                        self.obs.job_event(
+                            t,
+                            job,
+                            JobEventKind::Stop {
+                                cause: StopCause::Preemption,
+                                lost_iters: 0.0,
+                            },
+                        );
+                        let home = self.sjobs[idx].home;
+                        self.indexes[home].requeue(&mut self.sjobs[idx], idx);
+                    }
+                }
+                Action::Place {
+                    job,
+                    pool,
+                    gpus,
+                    opportunistic,
+                } => {
+                    let Some(&idx) = self.id_of.get(&job) else {
+                        continue;
+                    };
+                    let j = &mut self.sjobs[idx];
+                    if matches!(j.state, JState::Finished | JState::Dropped) {
+                        continue;
+                    }
+                    // No-op placement: already running exactly like this.
+                    if j.active() && j.pool == pool.0 && j.gpus == gpus {
+                        continue;
+                    }
+                    let run = match self.policy.plan_mode() {
+                        PlanMode::Adaptive => self.service.adaptive_run(&j.spec.model, gpus, pool),
+                        PlanMode::Cell => self.service.arena_run(&j.spec.model, gpus, pool),
+                    };
+                    let Some(run) = run else {
+                        self.obs.incr("sim.place.infeasible", 1);
+                        self.obs.decision(
+                            Decision::requeue(job)
+                                .on_shard(j.spec.requested_pool as u32)
+                                .why("infeasible-placement"),
+                        );
+                        continue;
+                    };
+                    let was_active = j.active();
+                    let prev_grant = was_active.then_some((j.pool, j.gpus));
+                    j.flush_run(t);
+                    j.flush_alloc(t);
+                    if let Some(alloc) = j.alloc.take() {
+                        self.cluster.release(&alloc).expect("release re-placed job");
+                        self.obs
+                            .alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
+                    }
+                    match self.cluster.allocate(pool, gpus) {
+                        Ok(alloc) => {
+                            if was_active {
+                                j.restarts += 1;
+                            }
+                            self.obs.alloc_event(t, job, pool.0, &alloc.node_gpus, true);
+                            let key = (j.model_key, j.spec.model.global_batch, gpus, pool.0);
+                            let first = self.acquired.insert(key);
+                            let state_bytes =
+                                8.0 * self.service.graph(&j.spec.model).total_param_bytes();
+                            let ckpt = 2.0 * state_bytes / self.cfg.checkpoint_bw_bps;
+                            let delay = self.cfg.restart_overhead_s
+                                + ckpt
+                                + if first { run.acquire_wall_s } else { 0.0 };
+                            j.profiled = true;
+                            j.alloc = Some(alloc);
+                            j.pool = pool.0;
+                            j.gpus = gpus;
+                            j.opportunistic = opportunistic;
+                            j.sps = run.throughput_sps;
+                            j.iter_time = run.iter_time_s;
+                            j.state = JState::Starting(t + delay);
+                            j.alloc_since = Some(t);
+                            self.obs.incr("sim.place.ok", 1);
+                            self.obs.job_event(
+                                t,
+                                job,
+                                JobEventKind::Place {
+                                    pool: pool.0,
+                                    gpus,
+                                    prev: prev_grant,
+                                    opportunistic,
+                                },
+                            );
+                            let home = self.sjobs[idx].home;
+                            self.indexes[home].place(&mut self.sjobs[idx], idx, t + delay);
+                        }
+                        Err(_) => {
+                            // Capacity race: job returns to the queue.
+                            if was_active {
+                                j.restarts += 1;
+                                self.obs.job_event(
+                                    t,
+                                    job,
+                                    JobEventKind::Stop {
+                                        cause: StopCause::CapacityRace,
+                                        lost_iters: 0.0,
+                                    },
+                                );
+                            }
+                            j.state = JState::Queued;
+                            self.obs.incr("sim.place.capacity_race", 1);
+                            self.obs.decision(
+                                Decision::requeue(job)
+                                    .on_shard(j.spec.requested_pool as u32)
+                                    .why("capacity-race"),
+                            );
+                            let home = self.sjobs[idx].home;
+                            self.indexes[home].requeue(&mut self.sjobs[idx], idx);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
-pub(crate) fn job_view(j: &SJob) -> JobView {
+/// Per-shard queued/running view fragments: global indices (ascending)
+/// alongside the matching views, kept as parallel vectors so the merge
+/// round can move the views into the merged vectors without cloning.
+struct ViewFragment {
+    queued_idx: Vec<usize>,
+    queued: Vec<JobView>,
+    active_idx: Vec<usize>,
+    active: Vec<JobView>,
+}
+
+fn build_fragment(ix: &EventIndex, sjobs: &JobStore) -> ViewFragment {
+    ViewFragment {
+        queued_idx: ix.queued.iter().copied().collect(),
+        queued: ix.queued.iter().map(|&i| job_view(&sjobs[i])).collect(),
+        active_idx: ix.active.iter().copied().collect(),
+        active: ix.active.iter().map(|&i| job_view(&sjobs[i])).collect(),
+    }
+}
+
+/// The policy's view of one job.
+fn job_view(j: &SJob) -> JobView {
     JobView {
         spec: Arc::clone(&j.spec),
         remaining_iters: j.remaining,
         #[allow(clippy::unnecessary_lazy_evaluations)]
         placement: j.active().then(|| PlacementView {
-            pool: arena_cluster::GpuTypeId(j.pool),
+            pool: GpuTypeId(j.pool),
             gpus: j.gpus,
             throughput_sps: j.sps,
             opportunistic: j.opportunistic,
@@ -789,568 +1937,26 @@ pub(crate) fn job_view(j: &SJob) -> JobView {
     }
 }
 
-/// Cluster samples/s: the running subset of the active set, summed in
-/// ascending job-index order — the same operands and order as a filtered
-/// scan of the full table.
-fn raw_throughput(sjobs: &[SJob], active: &BTreeSet<usize>) -> f64 {
-    active
-        .iter()
-        .map(|&i| &sjobs[i])
-        .filter(|j| j.state == JState::Running)
-        .map(|j| j.sps)
-        .sum()
-}
-
-/// Like [`raw_throughput`], each job normalised by its ideal rate.
-fn normalized_throughput(sjobs: &[SJob], active: &BTreeSet<usize>, service: &PlanService) -> f64 {
-    active
-        .iter()
-        .map(|&i| &sjobs[i])
-        .filter(|j| j.state == JState::Running)
-        .map(|j| j.sps / service.ideal_sps(&j.spec))
-        .sum()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute(
-    actions: &[Action],
-    sjobs: &mut [SJob],
-    index: &mut EventIndex,
-    id_of: &HashMap<u64, usize>,
-    cluster: &mut Cluster,
-    service: &PlanService,
-    policy: &dyn Policy,
-    cfg: &SimConfig,
-    t: f64,
-    acquired: &mut HashSet<(u32, usize, usize, usize)>,
-    obs: &Obs,
-) {
-    for action in actions {
-        match *action {
-            Action::Drop { job } => {
-                let Some(&idx) = id_of.get(&job) else {
-                    continue;
-                };
-                let j = &mut sjobs[idx];
-                if matches!(j.state, JState::Finished | JState::Dropped) {
-                    continue;
-                }
-                j.flush_run(t);
-                j.flush_alloc(t);
-                if let Some(alloc) = j.alloc.take() {
-                    cluster.release(&alloc).expect("release dropped job");
-                    obs.alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
-                }
-                j.state = JState::Dropped;
-                obs.job_event(t, job, JobEventKind::Drop);
-                index.retire(&mut sjobs[idx], idx);
-            }
-            Action::Evict { job } => {
-                let Some(&idx) = id_of.get(&job) else {
-                    continue;
-                };
-                let j = &mut sjobs[idx];
-                if j.active() {
-                    j.flush_run(t);
-                    j.flush_alloc(t);
-                    if let Some(alloc) = j.alloc.take() {
-                        cluster.release(&alloc).expect("release evicted job");
-                        obs.alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
-                    }
-                    j.state = JState::Queued;
-                    j.restarts += 1;
-                    j.opportunistic = false;
-                    obs.job_event(
-                        t,
-                        job,
-                        JobEventKind::Stop {
-                            cause: StopCause::Preemption,
-                            lost_iters: 0.0,
-                        },
-                    );
-                    index.requeue(&mut sjobs[idx], idx);
-                }
-            }
-            Action::Place {
-                job,
-                pool,
-                gpus,
-                opportunistic,
-            } => {
-                let Some(&idx) = id_of.get(&job) else {
-                    continue;
-                };
-                let j = &mut sjobs[idx];
-                if matches!(j.state, JState::Finished | JState::Dropped) {
-                    continue;
-                }
-                // No-op placement: already running exactly like this.
-                if j.active() && j.pool == pool.0 && j.gpus == gpus {
-                    continue;
-                }
-                let run = match policy.plan_mode() {
-                    PlanMode::Adaptive => service.adaptive_run(&j.spec.model, gpus, pool),
-                    PlanMode::Cell => service.arena_run(&j.spec.model, gpus, pool),
-                };
-                let Some(run) = run else {
-                    // Infeasible placement: ignored (the job stays where
-                    // it was — queued or running).
-                    obs.incr("sim.place.infeasible", 1);
-                    obs.decision(
-                        Decision::requeue(job)
-                            .on_shard(j.spec.requested_pool as u32)
-                            .why("infeasible-placement"),
-                    );
-                    continue;
-                };
-                let was_active = j.active();
-                let prev_grant = was_active.then_some((j.pool, j.gpus));
-                j.flush_run(t);
-                j.flush_alloc(t);
-                if let Some(alloc) = j.alloc.take() {
-                    cluster.release(&alloc).expect("release re-placed job");
-                    obs.alloc_event(t, job, alloc.pool.0, &alloc.node_gpus, false);
-                }
-                match cluster.allocate(pool, gpus) {
-                    Ok(alloc) => {
-                        if was_active {
-                            j.restarts += 1;
-                        }
-                        obs.alloc_event(t, job, pool.0, &alloc.node_gpus, true);
-                        // Profiling overlaps queueing (§8.2: one spare GPU
-                        // per type suffices); the exploration/tuning wall
-                        // is paid once per configuration (plan databases
-                        // are cached) on top of the restart overhead.
-                        let key = (j.model_key, j.spec.model.global_batch, gpus, pool.0);
-                        let first = acquired.insert(key);
-                        // Checkpoint save + optimizer-state restore scale
-                        // with the model's training state (16 B/param).
-                        let state_bytes = 8.0 * service.graph(&j.spec.model).total_param_bytes();
-                        let ckpt = 2.0 * state_bytes / cfg.checkpoint_bw_bps;
-                        let delay = cfg.restart_overhead_s
-                            + ckpt
-                            + if first { run.acquire_wall_s } else { 0.0 };
-                        j.profiled = true;
-                        j.alloc = Some(alloc);
-                        j.pool = pool.0;
-                        j.gpus = gpus;
-                        j.opportunistic = opportunistic;
-                        j.sps = run.throughput_sps;
-                        j.iter_time = run.iter_time_s;
-                        j.state = JState::Starting(t + delay);
-                        j.alloc_since = Some(t);
-                        obs.incr("sim.place.ok", 1);
-                        obs.job_event(
-                            t,
-                            job,
-                            JobEventKind::Place {
-                                pool: pool.0,
-                                gpus,
-                                prev: prev_grant,
-                                opportunistic,
-                            },
-                        );
-                        index.place(&mut sjobs[idx], idx, t + delay);
-                    }
-                    Err(_) => {
-                        // Capacity race: job returns to the queue.
-                        if was_active {
-                            j.restarts += 1;
-                            obs.job_event(
-                                t,
-                                job,
-                                JobEventKind::Stop {
-                                    cause: StopCause::CapacityRace,
-                                    lost_iters: 0.0,
-                                },
-                            );
-                        }
-                        j.state = JState::Queued;
-                        obs.incr("sim.place.capacity_race", 1);
-                        obs.decision(
-                            Decision::requeue(job)
-                                .on_shard(j.spec.requested_pool as u32)
-                                .why("capacity-race"),
-                        );
-                        index.requeue(&mut sjobs[idx], idx);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use arena_cluster::presets;
-    use arena_model::zoo::{ModelConfig, ModelFamily};
-    use arena_perf::CostParams;
-    use arena_sched::{ArenaPolicy, FcfsPolicy, GavelPolicy};
-
-    fn tiny_trace() -> Vec<JobSpec> {
-        let mk = |id: u64, submit: f64, size: f64, gpus: usize, iters: u64| JobSpec {
-            id,
-            name: format!("j{id}"),
-            submit_s: submit,
-            model: ModelConfig::new(ModelFamily::Bert, size, 256),
-            iterations: iters,
-            requested_gpus: gpus,
-            requested_pool: 0,
-            deadline_s: None,
-        };
-        vec![
-            mk(0, 0.0, 0.76, 4, 300),
-            mk(1, 100.0, 1.3, 8, 200),
-            mk(2, 200.0, 0.76, 2, 400),
-            mk(3, 2000.0, 1.3, 4, 200),
-        ]
-    }
-
-    fn run(policy: &mut dyn Policy) -> SimResult {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let jobs = tiny_trace();
-        simulate(
-            &cluster,
-            &jobs,
-            policy,
-            &service,
-            &SimConfig::new(48.0 * 3600.0),
-        )
-    }
-
-    #[test]
-    fn fcfs_finishes_everything() {
-        let r = run(&mut FcfsPolicy::new());
-        assert_eq!(r.metrics.finished, 4, "records: {:#?}", r.records);
-        assert_eq!(r.metrics.dropped, 0);
-        assert_eq!(r.metrics.unfinished, 0);
-        for rec in &r.records {
-            let jct = rec.jct_s().unwrap();
-            assert!(jct > 0.0);
-            let q = rec.queue_s().unwrap();
-            assert!(q >= 0.0 && q <= jct);
-        }
-    }
-
-    #[test]
-    fn arena_finishes_everything_and_beats_or_matches_fcfs_jct() {
-        let fcfs = run(&mut FcfsPolicy::new());
-        let arena = run(&mut ArenaPolicy::new());
-        assert_eq!(arena.metrics.finished, 4);
-        // On this under-loaded toy trace both finish everything; Arena
-        // must not be wildly worse despite its profiling delays.
-        assert!(
-            arena.metrics.avg_jct_s < 2.5 * fcfs.metrics.avg_jct_s,
-            "arena {} vs fcfs {}",
-            arena.metrics.avg_jct_s,
-            fcfs.metrics.avg_jct_s
-        );
-    }
-
-    #[test]
-    fn simulation_is_deterministic() {
-        let a = run(&mut GavelPolicy::new());
-        let b = run(&mut GavelPolicy::new());
-        assert_eq!(a.metrics.avg_jct_s, b.metrics.avg_jct_s);
-        assert_eq!(a.metrics.finished, b.metrics.finished);
-        assert_eq!(a.timeline.len(), b.timeline.len());
-    }
-
-    #[test]
-    fn timeline_is_sampled_and_bounded() {
-        let r = run(&mut FcfsPolicy::new());
-        assert!(!r.timeline.is_empty());
-        for &(time, v) in &r.timeline {
-            assert!(time >= 0.0);
-            // Normalised throughput of 4 jobs can never exceed ~4 plus
-            // noise slack.
-            assert!((0.0..=5.0).contains(&v), "throughput {v} at {time}");
-        }
-    }
-
-    #[test]
-    fn horizon_cuts_off_unfinished_jobs() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let jobs = tiny_trace();
-        let r = simulate(
-            &cluster,
-            &jobs,
-            &mut FcfsPolicy::new(),
-            &service,
-            &SimConfig::new(2500.0),
-        );
-        assert!(r.metrics.finished < 4);
-        assert_eq!(
-            r.metrics.finished + r.metrics.unfinished + r.metrics.dropped,
-            4
-        );
-    }
-
-    #[test]
-    fn slower_checkpoints_stretch_jcts() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let jobs = tiny_trace();
-        let run = |bw: f64| {
-            let mut cfg = SimConfig::new(48.0 * 3600.0);
-            cfg.checkpoint_bw_bps = bw;
-            simulate(&cluster, &jobs, &mut FcfsPolicy::new(), &service, &cfg)
-        };
-        let fast = run(20.0e9);
-        let slow = run(0.1e9);
-        assert!(
-            slow.metrics.avg_jct_s > fast.metrics.avg_jct_s,
-            "slow {} <= fast {}",
-            slow.metrics.avg_jct_s,
-            fast.metrics.avg_jct_s
-        );
-    }
-
-    /// Fails `nodes` nodes of pool 0 at `fail_t`, repairs them at
-    /// `repair_t`.
-    fn pool0_outage(fail_t: f64, repair_t: f64, nodes: usize) -> Vec<FaultEvent> {
-        let mut evs: Vec<FaultEvent> = (0..nodes)
-            .map(|n| FaultEvent {
-                time_s: fail_t,
-                pool: 0,
-                node: n,
-                kind: FaultKind::Failure,
-            })
-            .collect();
-        evs.extend((0..nodes).map(|n| FaultEvent {
-            time_s: repair_t,
-            pool: 0,
-            node: n,
-            kind: FaultKind::Repair,
-        }));
-        evs
-    }
-
-    #[test]
-    fn empty_fault_schedule_matches_simulate() {
-        let a = run(&mut FcfsPolicy::new());
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let jobs = tiny_trace();
-        let b = simulate_with_faults(
-            &cluster,
-            &jobs,
-            &mut FcfsPolicy::new(),
-            &service,
-            &SimConfig::new(48.0 * 3600.0),
-            &[],
-        );
-        assert_eq!(a.metrics.avg_jct_s, b.metrics.avg_jct_s);
-        assert_eq!(a.timeline, b.timeline);
-        assert_eq!(b.metrics.failure_evictions, 0);
-        assert_eq!(b.metrics.work_lost_frac, 0.0);
-        assert_eq!(b.metrics.mean_recovery_s, 0.0);
-        assert!(b.metrics.goodput_sps > 0.0);
-    }
-
-    #[test]
-    fn node_failures_evict_roll_back_and_recover() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let jobs = tiny_trace();
-        let mut cfg = SimConfig::new(48.0 * 3600.0);
-        // No checkpoints: a crash loses everything since the run began.
-        cfg.checkpoint_interval_s = f64::INFINITY;
-        let faults = pool0_outage(1000.0, 5000.0, 16);
-        let r = simulate_with_faults(
-            &cluster,
-            &jobs,
-            &mut FcfsPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-        );
-        assert!(
-            r.metrics.failure_evictions > 0,
-            "outage hit nobody: {:#?}",
-            r.records
-        );
-        assert!(r.metrics.work_lost_frac > 0.0);
-        assert!(r.metrics.mean_recovery_s > 0.0);
-        assert_eq!(r.metrics.finished, 4, "records: {:#?}", r.records);
-        // Goodput excludes the re-done work, so it sits strictly below
-        // the zero-fault run's.
-        let baseline = run(&mut FcfsPolicy::new());
-        assert!(r.metrics.goodput_sps > 0.0);
-        assert!(r.metrics.avg_jct_s > baseline.metrics.avg_jct_s);
-    }
-
-    #[test]
-    fn shorter_checkpoint_interval_loses_less_work() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let jobs = tiny_trace();
-        let faults = pool0_outage(1000.0, 5000.0, 16);
-        let run_with = |interval: f64| {
-            let mut cfg = SimConfig::new(48.0 * 3600.0);
-            cfg.checkpoint_interval_s = interval;
-            simulate_with_faults(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &faults,
-            )
-        };
-        let short = run_with(300.0);
-        let never = run_with(f64::INFINITY);
-        assert!(never.metrics.work_lost_frac > 0.0);
-        assert!(
-            short.metrics.work_lost_frac < never.metrics.work_lost_frac,
-            "short {} vs never {}",
-            short.metrics.work_lost_frac,
-            never.metrics.work_lost_frac
-        );
-    }
-
-    #[test]
-    fn faulty_runs_are_deterministic() {
-        let cluster = presets::physical_testbed();
-        let faults = arena_trace::generate_faults(
-            &arena_trace::FaultConfig::with_mtbf(20_000.0),
-            &[16, 16],
-            48.0 * 3600.0,
-        );
-        assert!(!faults.is_empty());
-        let go = || {
-            let service = PlanService::new(&cluster, CostParams::default(), 11);
-            simulate_with_faults(
-                &cluster,
-                &tiny_trace(),
-                &mut GavelPolicy::new(),
-                &service,
-                &SimConfig::new(48.0 * 3600.0),
-                &faults,
-            )
-        };
-        let a = go();
-        let b = go();
-        assert_eq!(a.metrics.avg_jct_s, b.metrics.avg_jct_s);
-        assert_eq!(a.metrics.failure_evictions, b.metrics.failure_evictions);
-        assert_eq!(a.metrics.goodput_sps, b.metrics.goodput_sps);
-        assert_eq!(a.timeline, b.timeline);
-        let ra: Vec<u32> = a.records.iter().map(|r| r.restarts).collect();
-        let rb: Vec<u32> = b.records.iter().map(|r| r.restarts).collect();
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn traced_run_produces_a_valid_timeline_with_matching_gpu_seconds() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let obs = Obs::enabled();
-        let r = simulate_traced(
-            &cluster,
-            &tiny_trace(),
-            &mut FcfsPolicy::new(),
-            &service,
-            &SimConfig::new(48.0 * 3600.0),
-            &obs,
-        );
-        let tl = &r.trace.timeline;
-        assert!(!tl.is_empty(), "traced run recorded no timeline");
-        tl.validate().expect("timeline passes the state machine");
-        assert_eq!(tl.nodes.len(), 32, "testbed has 2 pools x 16 nodes");
-        let accounts = tl.accounts();
-        for rec in &r.records {
-            let acc = &accounts[&rec.id];
-            assert_eq!(acc.productive_gpu_s, rec.productive_gpu_s, "job {}", rec.id);
-            assert_eq!(acc.allocated_gpu_s, rec.allocated_gpu_s, "job {}", rec.id);
-            assert_eq!(acc.run_s, rec.run_s, "job {}", rec.id);
-            assert!(rec.allocated_gpu_s >= rec.productive_gpu_s);
-        }
-        assert!(r.metrics.productive_gpu_s > 0.0);
-        assert!(r.metrics.cluster_util_frac > 0.0);
-        assert!(r.metrics.cluster_util_frac <= 1.0);
-        let util = tl.utilization();
-        assert!(!util.is_empty());
-        assert!(util.iter().all(|s| s.busy_gpus <= s.total_gpus));
-    }
-
-    #[test]
-    fn faulted_timeline_records_node_failure_stops() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let mut cfg = SimConfig::new(48.0 * 3600.0);
-        cfg.checkpoint_interval_s = f64::INFINITY;
-        let faults = pool0_outage(1000.0, 5000.0, 16);
-        let obs = Obs::enabled();
-        let r = simulate_with_faults_traced(
-            &cluster,
-            &tiny_trace(),
-            &mut FcfsPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-        );
-        let tl = &r.trace.timeline;
-        tl.validate().unwrap();
-        let stops: Vec<f64> = tl
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                JobEventKind::Stop {
-                    cause: StopCause::NodeFailure,
-                    lost_iters,
-                } => Some(lost_iters),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(stops.len(), r.metrics.failure_evictions);
-        assert!(
-            stops.iter().any(|&l| l > 0.0),
-            "no rollback recorded: {stops:?}"
-        );
-        let accounts = tl.accounts();
-        for rec in &r.records {
-            assert_eq!(
-                accounts[&rec.id].productive_gpu_s, rec.productive_gpu_s,
-                "job {}",
-                rec.id
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted by time")]
-    fn unsorted_fault_schedule_rejected() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let mut faults = pool0_outage(1000.0, 5000.0, 2);
-        faults.reverse();
-        let _ = simulate_with_faults(
-            &cluster,
-            &tiny_trace(),
-            &mut FcfsPolicy::new(),
-            &service,
-            &SimConfig::new(1000.0),
-            &faults,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted by submission")]
-    fn unsorted_trace_rejected() {
-        let cluster = presets::physical_testbed();
-        let service = PlanService::new(&cluster, CostParams::default(), 11);
-        let mut jobs = tiny_trace();
-        jobs.swap(0, 3);
-        let _ = simulate(
-            &cluster,
-            &jobs,
-            &mut FcfsPolicy::new(),
-            &service,
-            &SimConfig::new(1000.0),
-        );
+/// The final record of one job, read off its (flushed) engine state.
+/// `finish` builds these for every job after the end-of-run flush;
+/// record-fold mode builds them at the terminal transition, where the
+/// flushes have already run and every field is final — the two paths
+/// produce bitwise-identical records.
+fn job_record(j: &SJob) -> JobRecord {
+    JobRecord {
+        id: j.spec.id,
+        name: j.spec.name.clone(),
+        submit_s: j.spec.submit_s,
+        start_s: j.start_s,
+        finish_s: j.finish_s,
+        dropped: j.state == JState::Dropped,
+        restarts: j.restarts,
+        run_s: j.run_s,
+        productive_gpu_s: j.productive_gpu_s,
+        allocated_gpu_s: j.allocated_gpu_s,
+        deadline_met: j
+            .spec
+            .deadline_s
+            .map(|d| j.finish_s.is_some_and(|f| f <= d)),
     }
 }

@@ -6,8 +6,9 @@
 //! lifecycles (queue → profile/explore → run → restart → finish), and
 //! metric collection, and drives any [`arena_sched::Policy`]:
 //!
-//! * **Events**: job arrivals from a trace, job completions, and periodic
-//!   scheduling rounds (5 minutes, §7).
+//! * **Events**: job arrivals from a trace, job completions, node
+//!   failures and repairs, and periodic scheduling rounds (5 minutes,
+//!   §7).
 //! * **Plan acquisition**: when the policy places a job the simulator
 //!   prices the placement through the
 //!   [`PlanService`](arena_sched::PlanService) — full adaptive
@@ -17,29 +18,27 @@
 //! * **Metrics**: JCT / queueing statistics, a normalised
 //!   cluster-throughput timeline, restart counts, deadline satisfaction
 //!   and the policy's own decision latency (Fig. 21a).
+//!
+//! [`Engine`] is the one event loop; [`Sim`] drives it over a whole
+//! trace (batch) or a [`arena_trace::TraceSource`] (streaming), and the
+//! `arena-server` daemon drives it one command at a time.
 
+pub mod driver;
 pub mod engine;
 mod heap;
-pub mod incremental;
 pub mod metrics;
-#[doc(hidden)]
-pub mod reference;
 pub mod shard;
 mod store;
-pub mod stream;
 
 pub use arena_obs::{
     Decision, DecisionKind, JobAccount, JobEventKind, JobState, MetricsRegistry, Obs, StopCause,
     Timeline, TraceReport, UtilSample,
 };
+pub use driver::Sim;
 pub use engine::{
-    simulate, simulate_traced, simulate_with_faults, simulate_with_faults_traced, SimConfig,
-    SimResult,
+    Engine, EngineState, InputError, JobPhase, JobStatus, PoolSnapshot, SimConfig, SimResult,
 };
-pub use incremental::{Engine, EngineState, InputError, JobPhase, JobStatus, PoolSnapshot};
-pub use metrics::{record_fingerprint, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics};
-pub use shard::{
-    simulate_sharded, simulate_sharded_traced, simulate_sharded_with_faults,
-    simulate_sharded_with_faults_traced, ShardPlan,
+pub use metrics::{
+    record_fingerprint, DecisionStats, FaultLog, FoldedRecords, JobRecord, Metrics, StreamSummary,
 };
-pub use stream::{simulate_stream, simulate_stream_with_faults, StreamSummary};
+pub use shard::ShardPlan;

@@ -103,7 +103,7 @@ pub fn record_fingerprint(records: &[JobRecord]) -> u64 {
 /// Constant-memory aggregate of job records — what a streaming run
 /// keeps instead of a `Vec<JobRecord>`. Every field is a commutative
 /// fold over per-record contributions, so folding records as jobs
-/// terminate (streaming order) matches folding the batch engine's
+/// terminate (streaming order) matches folding a batch run's
 /// submission-ordered record vector, except that floating-point *sums*
 /// may differ in final bits across fold orders; the integer counters
 /// and the [`FoldedRecords::fingerprint`] are exactly order-free.
@@ -222,7 +222,7 @@ fn ratio(sum: f64, count: u64) -> f64 {
 }
 
 /// Streaming fold of per-decision scheduler latencies: count, total and
-/// max are all the batch engine's `Vec<f64>` ever feeds into
+/// max are all a batch run's `Vec<f64>` ever feeds into
 /// [`aggregate`] (which takes its mean), kept without the vector.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct DecisionStats {
@@ -317,6 +317,43 @@ pub struct Metrics {
     pub allocated_gpu_s: f64,
     /// Productive GPU-seconds over nameplate capacity GPU-seconds.
     pub cluster_util_frac: f64,
+}
+
+/// What a streaming run yields instead of a [`crate::SimResult`]:
+/// constant-memory aggregates plus the round-sampled throughput
+/// timelines (bounded by horizon / round interval, not job count).
+#[derive(Debug, Clone, Serialize)]
+pub struct StreamSummary {
+    /// The policy's display name.
+    pub policy: String,
+    /// Folded per-job aggregates (counts, JCT/queue sums, GPU-seconds).
+    pub jobs: FoldedRecords,
+    /// Order-free fingerprint of the folded record multiset — equals
+    /// [`crate::record_fingerprint`] over a batch run's records iff the
+    /// two runs produced identical per-job outcomes.
+    pub fingerprint: u64,
+    /// Scheduler decision-latency fold (count / total / max).
+    pub decisions: DecisionStats,
+    /// Useful samples per second over the run (processed minus
+    /// failure-lost work).
+    pub goodput_sps: f64,
+    /// Fraction of processed samples re-done after failure rollbacks.
+    pub work_lost_frac: f64,
+    /// Jobs evicted by node failures.
+    pub failure_evictions: usize,
+    /// Mean failure-to-running-again wall-clock, seconds.
+    pub mean_recovery_s: f64,
+    /// Productive GPU-seconds over nameplate capacity GPU-seconds.
+    pub cluster_util_frac: f64,
+    /// Wall-clock span of the run, seconds.
+    pub elapsed_s: f64,
+    /// High-water mark of concurrently live (queued + active) jobs —
+    /// the working set the streaming memory model is sized by.
+    pub peak_live_jobs: usize,
+    /// `(time, normalised cluster throughput)` at every round.
+    pub timeline: Vec<(f64, f64)>,
+    /// `(time, raw cluster throughput in samples/s)` at every round.
+    pub raw_timeline: Vec<(f64, f64)>,
 }
 
 /// Aggregates job records and a throughput timeline into [`Metrics`].

@@ -1,37 +1,28 @@
-//! The sharded decision loop: per-partition scheduler shards with a
-//! deterministic merge round.
+//! Executor shards: how a run partitions the cluster's decision loop.
 //!
 //! The cluster's pools are grouped into *partitions* by an
 //! [`arena_cluster::PartitionMap`] (canonically one per pool); a
 //! [`ShardPlan`] folds those partitions onto `S` *executor shards*, each
 //! owning its own event heap and membership indexes over the jobs homed
-//! to it (a job's home is its requested pool's partition, fixed at
-//! arrival). Heavy per-shard work — building the policy's view fragments,
-//! and the policy's own per-shard candidate prefetch via
-//! [`arena_sched::Policy::prepare_shards`] — runs concurrently on an
-//! [`arena_runtime::WorkerPool`].
+//! to it inside the [`crate::Engine`] (a job's home is its requested
+//! pool's partition, fixed at arrival). Heavy per-shard work — building
+//! the policy's view fragments, and the policy's own per-shard candidate
+//! prefetch via [`arena_sched::Policy::prepare_shards`] — runs
+//! concurrently on an [`arena_runtime::WorkerPool`].
 //!
-//! **The merge round is what keeps every observable output byte-identical
-//! to the unsharded engine at any shard count.** Per-shard index sets
-//! partition the global job table, and within a shard every set iterates
-//! in ascending global job index (= submission order). Wherever the
-//! serial engine walks jobs in ascending index and folds non-associative
-//! state (floating-point throughput sums, `FaultLog` accumulation, obs
-//! event order, cluster book mutations), the sharded loop first k-way
-//! merges the per-shard index streams back into ascending global order
-//! with [`arena_runtime::merge_by_index`] and then applies exactly the
-//! serial fold. The executor shard count is thereby an execution knob
-//! only; `tests/shard_equivalence.rs` pins the byte-identity at shard
-//! counts 1/2/4/8, and `DESIGN.md` §12 spells out the argument.
+//! **The merge round is what keeps every observable output
+//! byte-identical at any shard count.** Per-shard index sets partition
+//! the global job table, and within a shard every set iterates in
+//! ascending global job index (= submission order). Wherever the engine
+//! folds non-associative state (floating-point throughput sums,
+//! `FaultLog` accumulation, obs event order, cluster book mutations) it
+//! first merges the per-shard index streams back into ascending global
+//! order. The executor shard count is thereby an execution knob only;
+//! `tests/shard_equivalence.rs` pins the byte-identity at shard counts
+//! 1/2/4/8, and `DESIGN.md` §12 spells out the argument.
 
 use arena_cluster::{Cluster, PartitionMap};
-use arena_obs::Obs;
 use arena_runtime::{shards_from_env_or, WorkerPool};
-use arena_sched::{PlanService, Policy};
-use arena_trace::{FaultEvent, JobSpec};
-
-use crate::engine::{SimConfig, SimResult};
-use crate::incremental::Engine;
 
 /// How a sharded run partitions the cluster and executes the shards.
 ///
@@ -121,130 +112,17 @@ impl ShardPlan {
     }
 }
 
-/// [`crate::simulate`] on the sharded decision loop. Output is
-/// byte-identical to the unsharded engine at any shard count.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`crate::simulate`].
-#[must_use]
-pub fn simulate_sharded(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-) -> SimResult {
-    simulate_sharded_with_faults(cluster, jobs, policy, service, cfg, &[], plan)
-}
-
-/// [`crate::simulate_traced`] on the sharded decision loop.
-#[must_use]
-pub fn simulate_sharded_traced(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    obs: &Obs,
-    plan: &ShardPlan,
-) -> SimResult {
-    simulate_sharded_with_faults_traced(cluster, jobs, policy, service, cfg, &[], obs, plan)
-}
-
-/// [`crate::simulate_with_faults`] on the sharded decision loop.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`crate::simulate_with_faults`].
-#[must_use]
-pub fn simulate_sharded_with_faults(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-    plan: &ShardPlan,
-) -> SimResult {
-    simulate_sharded_with_faults_traced(
-        cluster,
-        jobs,
-        policy,
-        service,
-        cfg,
-        faults,
-        &Obs::disabled(),
-        plan,
-    )
-}
-
-/// [`crate::simulate_with_faults_traced`] on the sharded decision loop —
-/// now a thin batch driver over the incremental [`crate::Engine`]: load
-/// every input up front, close the input stream, drain to completion.
-/// Every other `simulate_sharded*` entry delegates here, and the server
-/// drives the *same* engine one command at a time — so the batch/online
-/// equivalence is held by construction plus `tests/server_e2e.rs`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as
-/// [`crate::simulate_with_faults_traced`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_sharded_with_faults_traced(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-    obs: &Obs,
-    plan: &ShardPlan,
-) -> SimResult {
-    assert!(
-        jobs.windows(2).all(|w| w[0].submit_s <= w[1].submit_s),
-        "trace must be sorted by submission time"
-    );
-    assert!(
-        faults.windows(2).all(|w| w[0].time_s <= w[1].time_s),
-        "fault schedule must be sorted by time"
-    );
-    // One shard means the deterministic merge round has nothing to
-    // merge: the sharded machinery (per-shard streams, the merge pass,
-    // worker hand-off) is pure overhead there, and the serial engine is
-    // byte-identical by the shard-equivalence suite. Route degenerate
-    // plans straight through it; the crossover is documented in
-    // DESIGN.md §12 and pinned by `sim/simulate_5000_jobs_faulted_
-    // fcfs_shard1` in the baseline bench.
-    if plan.shards() <= 1 {
-        return crate::engine::simulate_with_faults_traced(
-            cluster, jobs, policy, service, cfg, faults, obs,
-        );
-    }
-    let mut engine = Engine::new(cluster, policy, service, cfg, obs, plan);
-    // The asserts above are the historical batch validation; feed the
-    // pre-asserted stream past the incremental checks so batch semantics
-    // (e.g. tolerated duplicate ids) are preserved bit-for-bit.
-    for job in jobs {
-        engine.push_job_unchecked(job.clone());
-    }
-    for fault in faults {
-        engine.push_fault_unchecked(fault.clone());
-    }
-    engine.close_input();
-    engine.run_to_end();
-    engine.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Sim, SimConfig};
     use arena_cluster::presets;
     use arena_model::zoo::{ModelConfig, ModelFamily};
+    use arena_obs::Obs;
     use arena_perf::CostParams;
+    use arena_sched::PlanService;
     use arena_sched::{ArenaPolicy, FcfsPolicy};
+    use arena_trace::JobSpec;
 
     fn tiny_trace() -> Vec<JobSpec> {
         let mk = |id: u64, submit: f64, size: f64, gpus: usize, pool: usize| JobSpec {
@@ -281,25 +159,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_serial_engine() {
+    fn sharded_run_matches_single_shard() {
         let cluster = presets::physical_testbed();
         let jobs = tiny_trace();
         let cfg = SimConfig::new(48.0 * 3600.0);
         let serial = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            crate::simulate(&cluster, &jobs, &mut FcfsPolicy::new(), &service, &cfg)
+            Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .run(&jobs)
+                .unwrap()
         };
         for shards in [1, 2, 4] {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
             let plan = ShardPlan::per_pool(&cluster).with_shards(shards);
-            let r = simulate_sharded(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &plan,
-            );
+            let r = Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .plan(&plan)
+                .run(&jobs)
+                .unwrap();
             assert_eq!(r.metrics.avg_jct_s, serial.metrics.avg_jct_s, "{shards}");
             assert_eq!(r.timeline, serial.timeline, "{shards} shards");
             assert_eq!(r.raw_timeline, serial.raw_timeline, "{shards} shards");
@@ -316,29 +192,20 @@ mod tests {
         let plan = ShardPlan::per_pool(&cluster).with_shards(2);
         let off = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
-            simulate_sharded(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &plan,
-            )
+            Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .plan(&plan)
+                .run(&jobs)
+                .unwrap()
         };
         let registry = Arc::new(MetricsRegistry::new(64));
         let on = {
             let service = PlanService::new(&cluster, CostParams::default(), 11);
             let obs = Obs::metrics_only(Arc::clone(&registry));
-            simulate_sharded_with_faults_traced(
-                &cluster,
-                &jobs,
-                &mut FcfsPolicy::new(),
-                &service,
-                &cfg,
-                &[],
-                &obs,
-                &plan,
-            )
+            Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+                .obs(&obs)
+                .plan(&plan)
+                .run(&jobs)
+                .unwrap()
         };
         // The live plane must not perturb a single simulated byte.
         assert_eq!(on.metrics.avg_jct_s, off.metrics.avg_jct_s);
@@ -366,14 +233,15 @@ mod tests {
             let plan = ShardPlan::per_pool(&cluster)
                 .with_shards(2)
                 .with_workers(WorkerPool::new(workers));
-            simulate_sharded(
+            Sim::new(
                 &cluster,
-                &jobs,
                 &mut ArenaPolicy::new().with_worker_threads(workers),
                 &service,
                 &cfg,
-                &plan,
             )
+            .plan(&plan)
+            .run(&jobs)
+            .unwrap()
         };
         let seq = go(1);
         let par = go(4);

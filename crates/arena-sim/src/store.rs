@@ -1,6 +1,6 @@
 //! Segmented job-table storage with whole-segment reclamation.
 //!
-//! The incremental engine historically kept every job ever submitted in
+//! The engine historically kept every job ever submitted in
 //! one `Vec<SJob>`: indices are handed to event heaps and membership
 //! sets, so slots must never move or be reused — and batch traces are
 //! small enough that keeping terminal jobs around until [`finish`]

@@ -124,7 +124,7 @@ fn proxy_iter_time(model: &ModelConfig, flops_fwd: f64, gpus: usize) -> f64 {
 /// Pull-based generator over a [`TraceConfig`]: yields the exact job
 /// sequence [`generate`] would collect, one arrival at a time, without
 /// ever materialising the trace. Fleet-scale drivers pump this straight
-/// into the incremental engine so memory stays flat in trace length.
+/// into the simulation engine so memory stays flat in trace length.
 ///
 /// # Examples
 ///

@@ -1,7 +1,7 @@
 //! Pull-based trace sources for fleet-scale streaming ingestion.
 //!
 //! Million-job traces do not fit comfortably in memory — and never need
-//! to: the incremental engine consumes arrivals strictly in submission
+//! to: the simulation engine consumes arrivals strictly in submission
 //! order, so a trace can be *pulled* one job at a time from a generator
 //! or a file. [`TraceSource`] is that seam. The three implementations —
 //! [`crate::GenSource`] (synthetic, seeded), [`JsonlSource`] (one JSON

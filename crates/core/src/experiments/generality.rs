@@ -6,7 +6,7 @@ use serde::Serialize;
 
 use arena_cluster::presets;
 use arena_sched::{ArenaPolicy, ArenaVariant, ElasticFlowPolicy, PlanService, Policy};
-use arena_sim::SimConfig;
+use arena_sim::{Sim, SimConfig};
 use arena_trace::{generate, TraceConfig, TraceKind};
 
 use super::{fill_common_jct, run_policies, PolicySummary};
@@ -196,25 +196,27 @@ pub fn fig21(quick: bool) -> Vec<Fig21Row> {
     // timings measure scheduling logic, not first-touch exploration.
     {
         let mut policy = ArenaPolicy::new().with_search_depth(3);
-        let _ = arena_sim::simulate(
+        let _ = Sim::new(
             &cluster,
-            &jobs,
             &mut policy,
             &service,
             &SimConfig::new(hours * 3600.0 * 6.0),
-        );
+        )
+        .run(&jobs)
+        .expect("generated traces are valid");
     }
 
     (1..=5)
         .map(|depth| {
             let mut policy = ArenaPolicy::new().with_search_depth(depth);
-            let r = arena_sim::simulate(
+            let r = Sim::new(
                 &cluster,
-                &jobs,
                 &mut policy,
                 &service,
                 &SimConfig::new(hours * 3600.0 * 6.0),
-            );
+            )
+            .run(&jobs)
+            .expect("generated traces are valid");
             Fig21Row {
                 depth,
                 avg_decision_s: r.metrics.avg_decision_s,

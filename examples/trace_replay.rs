@@ -57,7 +57,9 @@ fn main() {
     );
     let mut arena_result: Option<SimResult> = None;
     for mut p in policies {
-        let r = simulate(&cluster, &jobs, p.as_mut(), &service, &sim_cfg);
+        let r = Sim::new(&cluster, p.as_mut(), &service, &sim_cfg)
+            .run(&jobs)
+            .expect("generated traces are valid");
         println!(
             "{:<15} {:>8.0}s {:>8.0}s {:>9} {:>9.3} {:>9.2}",
             r.policy,

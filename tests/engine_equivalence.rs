@@ -1,10 +1,10 @@
-//! The event-indexed engine against the pre-index reference loop.
+//! The event-indexed [`Engine`] against the pre-index reference loop.
 //!
-//! `arena::sim::reference` is a frozen copy of the engine as it was
-//! before the event-indexed core (lazy-deletion event heap, membership
-//! indexes, lazy advance, interned plan keys): full-table scans
-//! everywhere. The rewrite's contract is that none of that machinery is
-//! observable — not merely statistically close, but *byte-identical*
+//! `reference` (under `tests/reference/`) is a frozen copy of the event
+//! loop as it was before the event-indexed core (lazy-deletion event
+//! heap, membership indexes, lazy advance, interned plan keys): full-table
+//! scans everywhere. The engine's contract is that none of that machinery
+//! is observable — not merely statistically close, but *byte-identical*
 //! output: every record, every timeline sample, every decision line,
 //! every traced job event. These tests hold the two loops together:
 //!
@@ -15,8 +15,9 @@
 //!    desync — a stale entry surviving a generation bump, a missed
 //!    refresh after an advance — would surface as a divergent timeline.
 
+mod reference;
+
 use arena::prelude::*;
-use arena::sim::reference;
 use arena::trace::FaultEvent;
 use proptest::prelude::*;
 
@@ -77,25 +78,13 @@ fn assert_equivalent(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig, t
                     Obs::disabled()
                 };
                 let r = if engine_new {
-                    simulate_with_faults_traced(
-                        &cluster,
-                        jobs,
-                        policy.as_mut(),
-                        &service,
-                        cfg,
-                        faults,
-                        &obs,
-                    )
+                    Sim::new(&cluster, policy.as_mut(), &service, cfg)
+                        .faults(faults)
+                        .obs(&obs)
+                        .run(jobs)
+                        .expect("valid trace")
                 } else {
-                    reference::simulate_with_faults_traced(
-                        &cluster,
-                        jobs,
-                        policy.as_mut(),
-                        &service,
-                        cfg,
-                        faults,
-                        &obs,
-                    )
+                    reference::run(&cluster, jobs, policy.as_mut(), &service, cfg, faults, &obs)
                 };
                 fingerprint(r)
             })
@@ -164,9 +153,9 @@ proptest! {
             let service = PlanService::new(&cluster, CostParams::default(), 17);
             let mut policy = FcfsPolicy::new();
             let r = if engine_new {
-                simulate_with_faults(&cluster, &jobs, &mut policy, &service, &cfg, &faults)
+                Sim::new(&cluster, &mut policy, &service, &cfg).faults(&faults).run(&jobs).expect("valid trace")
             } else {
-                reference::simulate_with_faults(&cluster, &jobs, &mut policy, &service, &cfg, &faults)
+                reference::run(&cluster, &jobs, &mut policy, &service, &cfg, &faults, &Obs::disabled())
             };
             fingerprint(r)
         };

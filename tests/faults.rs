@@ -6,9 +6,6 @@ use proptest::prelude::*;
 
 use arena::cluster::{Allocation, Cluster, GpuSpec, GpuTypeId, NodeHealth, NodeSpec};
 use arena::prelude::*;
-use arena::sim::{
-    simulate_sharded_with_faults_traced, simulate_with_faults, simulate_with_faults_traced,
-};
 use arena::trace::{generate_faults, FaultConfig, FaultEvent, FaultKind};
 
 fn two_pool_cluster() -> Cluster {
@@ -134,14 +131,10 @@ fn faulty_simulation_is_bitwise_deterministic() {
     );
     let run = || {
         let service = PlanService::new(&cluster, CostParams::default(), 77);
-        simulate_with_faults(
-            &cluster,
-            &jobs,
-            &mut ArenaPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-        )
+        Sim::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg)
+            .faults(&faults)
+            .run(&jobs)
+            .expect("valid trace")
     };
     let (a, b) = (run(), run());
     // Timelines and per-job lifecycles must be identical to the bit.
@@ -177,7 +170,10 @@ fn all_policies_survive_node_failures() {
         Box::new(ArenaPolicy::new()),
     ];
     for mut p in policies {
-        let r = simulate_with_faults(&cluster, &jobs, p.as_mut(), &service, &cfg, &faults);
+        let r = Sim::new(&cluster, p.as_mut(), &service, &cfg)
+            .faults(&faults)
+            .run(&jobs)
+            .expect("valid trace");
         let m = &r.metrics;
         assert_eq!(
             m.finished + m.dropped + m.unfinished,
@@ -206,22 +202,20 @@ fn all_policies_survive_node_failures() {
 
 #[test]
 fn zero_fault_schedule_reproduces_baseline() {
-    // The fault-aware entry point with an empty schedule must match
-    // `simulate` exactly — the seed experiments stay unchanged.
+    // An empty fault schedule must match a fault-free run exactly — the
+    // seed experiments stay unchanged.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = small_trace(8);
     let cfg = SimConfig::new(24.0 * 3600.0);
     let service = PlanService::new(&cluster, CostParams::default(), 5);
-    let base = simulate(&cluster, &jobs, &mut ArenaPolicy::new(), &service, &cfg);
+    let base = Sim::new(&cluster, &mut ArenaPolicy::new(), &service, &cfg)
+        .run(&jobs)
+        .expect("valid trace");
     let service2 = PlanService::new(&cluster, CostParams::default(), 5);
-    let faulty = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut ArenaPolicy::new(),
-        &service2,
-        &cfg,
-        &[],
-    );
+    let faulty = Sim::new(&cluster, &mut ArenaPolicy::new(), &service2, &cfg)
+        .faults(&[])
+        .run(&jobs)
+        .expect("valid trace");
     assert_eq!(base.timeline, faulty.timeline);
     assert_eq!(base.metrics.avg_jct_s, faulty.metrics.avg_jct_s);
     assert_eq!(base.metrics.finished, faulty.metrics.finished);
@@ -252,14 +246,10 @@ fn failures_cost_real_progress() {
         node: n,
         kind: FaultKind::Repair,
     }));
-    let r = simulate_with_faults(
-        &cluster,
-        &jobs,
-        &mut GavelPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-    );
+    let r = Sim::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+        .faults(&faults)
+        .run(&jobs)
+        .expect("valid trace");
     assert!(r.metrics.failure_evictions > 0, "{:#?}", r.records);
     assert!(r.metrics.mean_recovery_s > 0.0);
     assert_eq!(
@@ -293,15 +283,11 @@ fn fault_evictions_carry_decision_provenance() {
         kind: FaultKind::Repair,
     }));
     let obs = Obs::enabled();
-    let r = simulate_with_faults_traced(
-        &cluster,
-        &jobs,
-        &mut GavelPolicy::new(),
-        &service,
-        &cfg,
-        &faults,
-        &obs,
-    );
+    let r = Sim::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+        .faults(&faults)
+        .obs(&obs)
+        .run(&jobs)
+        .expect("valid trace");
     assert!(r.metrics.failure_evictions > 0);
 
     let failure_requeues: Vec<&Decision> = r
@@ -344,11 +330,11 @@ fn fault_evictions_carry_decision_provenance() {
 
 #[test]
 fn fault_provenance_identical_under_sharding() {
-    // The same mid-run outage, run through the sharded decision loop at
-    // several shard counts: node failures land mid-merge-round (victims
-    // are detected per shard, applied in merged submission order), yet
-    // every requeue decision — job, reason, trigger, shard stamp, and
-    // position in the decision stream — must match the serial engine's.
+    // The same mid-run outage at several shard counts: node failures
+    // land mid-merge-round (victims are collected from the merged
+    // active walk, applied in submission order), yet every requeue
+    // decision — job, reason, trigger, shard stamp, and position in the
+    // decision stream — must match the one-shard run's.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = small_trace(6);
     let mut cfg = SimConfig::new(24.0 * 3600.0);
@@ -370,15 +356,11 @@ fn fault_provenance_identical_under_sharding() {
     let serial = {
         let service = PlanService::new(&cluster, CostParams::default(), 2);
         let obs = Obs::enabled();
-        simulate_with_faults_traced(
-            &cluster,
-            &jobs,
-            &mut GavelPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-        )
+        Sim::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+            .faults(&faults)
+            .obs(&obs)
+            .run(&jobs)
+            .expect("valid trace")
     };
     assert!(
         serial.metrics.failure_evictions > 0,
@@ -390,16 +372,12 @@ fn fault_provenance_identical_under_sharding() {
         let plan = ShardPlan::per_pool(&cluster)
             .with_shards(shards)
             .with_workers(WorkerPool::new(2));
-        let sharded = simulate_sharded_with_faults_traced(
-            &cluster,
-            &jobs,
-            &mut GavelPolicy::new(),
-            &service,
-            &cfg,
-            &faults,
-            &obs,
-            &plan,
-        );
+        let sharded = Sim::new(&cluster, &mut GavelPolicy::new(), &service, &cfg)
+            .faults(&faults)
+            .obs(&obs)
+            .plan(&plan)
+            .run(&jobs)
+            .expect("valid trace");
         // The whole decision stream — not just the requeues — agrees
         // line-for-line, so ordering around the fault is preserved too.
         assert_eq!(

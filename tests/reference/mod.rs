@@ -1,27 +1,25 @@
-//! The pre-index reference engine: the event loop exactly as it was
-//! before the event-indexed core landed, kept as the bitwise-equality
-//! oracle for `tests/engine_equivalence.rs`.
+//! The reference loop: the simulator's event loop as it was before the
+//! event-indexed core landed, kept as the bitwise-equality oracle for
+//! `tests/engine_equivalence.rs`. It is built from the public API only.
 //!
 //! Every per-event pass here is a linear scan over the whole job table
 //! and the plan-database key is a heap-allocated `String` tuple — the
 //! O(jobs) shape the indexed engine replaces. Apart from storing job
 //! specs behind `Arc` (required by the shared policy view types, and
 //! invisible to the simulation), this file must stay a frozen copy of
-//! the old `engine.rs`: any behavioural fix belongs in the real engine
-//! first, with the equivalence suite deciding whether the oracle moves.
-//!
-//! Not part of the public API; hidden from docs on purpose.
+//! that loop: any behavioural fix belongs in the engine first, with the
+//! equivalence suite deciding whether the oracle moves.
 
 use std::sync::Arc;
 
-use arena_cluster::{Allocation, Cluster, GpuTypeId};
-use arena_obs::{Decision, JobEventKind, Obs, StopCause};
-use arena_sched::PlanService;
-use arena_sched::{Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView};
-use arena_trace::{FaultEvent, FaultKind, JobSpec};
-
-use crate::engine::{SimConfig, SimResult};
-use crate::metrics::{aggregate, FaultLog, JobRecord};
+use arena::cluster::{Allocation, Cluster, GpuTypeId};
+use arena::sched::PlanService;
+use arena::sched::{Action, JobView, PlacementView, PlanMode, Policy, SchedEvent, SchedView};
+use arena::sim::metrics::aggregate;
+use arena::sim::{
+    Decision, FaultLog, JobEventKind, JobRecord, Obs, SimConfig, SimResult, StopCause,
+};
+use arena::trace::{FaultEvent, FaultKind, JobSpec};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum JState {
@@ -77,31 +75,11 @@ impl SJob {
 
 const EPS: f64 = 1e-6;
 
-/// [`crate::simulate_with_faults`] on the reference loop.
-#[must_use]
-pub fn simulate_with_faults(
-    cluster: &Cluster,
-    jobs: &[JobSpec],
-    policy: &mut dyn Policy,
-    service: &PlanService,
-    cfg: &SimConfig,
-    faults: &[FaultEvent],
-) -> SimResult {
-    simulate_with_faults_traced(
-        cluster,
-        jobs,
-        policy,
-        service,
-        cfg,
-        faults,
-        &Obs::disabled(),
-    )
-}
-
-/// [`crate::simulate_with_faults_traced`] on the reference loop.
+/// Runs `policy` over a sorted trace and fault schedule, recording into
+/// `obs`.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn simulate_with_faults_traced(
+pub fn run(
     cluster: &Cluster,
     jobs: &[JobSpec],
     policy: &mut dyn Policy,
@@ -483,7 +461,7 @@ fn job_view(j: &SJob) -> JobView {
         remaining_iters: j.remaining,
         #[allow(clippy::unnecessary_lazy_evaluations)]
         placement: j.active().then(|| PlacementView {
-            pool: arena_cluster::GpuTypeId(j.pool),
+            pool: GpuTypeId(j.pool),
             gpus: j.gpus,
             throughput_sps: j.sps,
             opportunistic: j.opportunistic,

@@ -189,6 +189,34 @@ fn duplicate_ids_and_time_regressions_are_rejected() {
 }
 
 #[test]
+fn unknown_pool_is_rejected_and_the_daemon_keeps_answering() {
+    // FCFS prices a placement on the requested pool, so an accepted job
+    // naming a pool the cluster lacks would take the daemon down at its
+    // arrival burst. Admission must refuse it instead.
+    let server = server();
+    let handle = server.handle();
+    let mut bad = job(1, 100.0);
+    bad.requested_pool = 99;
+    let r = handle.handle_line(&submit_line(&bad));
+    assert!(
+        r.contains("\"ok\":false") && r.contains("no pool 99"),
+        "{r}"
+    );
+    let status = handle.handle_line("{\"cmd\":\"query\",\"what\":\"status\"}");
+    assert!(status.contains("\"ok\":true"), "{status}");
+    // A later submit moves the clock past the refused job's arrival.
+    assert!(handle
+        .handle_line(&submit_line(&job(2, 300.0)))
+        .contains("\"ok\":true"));
+    assert!(handle
+        .handle_line("{\"cmd\":\"drain\"}")
+        .contains("\"drained\":true"));
+    let outcome = server.join();
+    assert_eq!(outcome.state.submitted, 1);
+    assert_eq!(outcome.state.finished, 1);
+}
+
+#[test]
 fn input_after_drain_is_rejected_cleanly() {
     let server = server();
     let handle = server.handle();

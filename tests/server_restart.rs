@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use arena::prelude::*;
 use arena::sched::policy_by_name;
-use arena::sim::simulate_sharded_with_faults_traced;
 use arena::trace::FaultEvent;
 use arena_server::protocol::{fault_line, submit_line};
 use arena_server::{Server, ServerConfig};
@@ -70,16 +69,14 @@ fn batch_fingerprint(
     let plan = ShardPlan::per_pool(&cluster)
         .with_shards(shards)
         .with_workers(WorkerPool::new(1));
-    fingerprint(simulate_sharded_with_faults_traced(
-        &cluster,
-        jobs,
-        p.as_mut(),
-        &service,
-        cfg,
-        faults,
-        &obs,
-        &plan,
-    ))
+    fingerprint(
+        Sim::new(&cluster, p.as_mut(), &service, cfg)
+            .faults(faults)
+            .obs(&obs)
+            .plan(&plan)
+            .run(jobs)
+            .expect("valid trace"),
+    )
 }
 
 fn command_stream(jobs: &[JobSpec], faults: &[FaultEvent]) -> Vec<String> {

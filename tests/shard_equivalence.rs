@@ -1,11 +1,13 @@
-//! The sharded decision loop against the serial event-indexed engine.
+//! Sharded runs against the one-shard (serial-decision) run of the same
+//! engine.
 //!
-//! `arena::sim::shard` partitions the cluster into per-pool scheduler
-//! shards — each with its own event heap and membership indexes —
-//! deciding concurrently on a worker pool, with a deterministic merge
-//! round folding per-shard streams back into submission order. The
-//! contract is that the shard count and worker pool are pure execution
-//! knobs: output must be *byte-identical* to the unsharded engine — every
+//! A `ShardPlan` partitions the cluster into per-pool scheduler shards —
+//! each with its own event heap and membership indexes inside the
+//! `Engine` — deciding concurrently on a worker pool, with a
+//! deterministic merge round folding per-shard streams back into
+//! submission order. The contract is that the shard count and worker
+//! pool are pure execution knobs: output must be *byte-identical* to a
+//! one-shard run with sequential workers — every
 //! record, timeline sample, decision line (including `shard=` provenance)
 //! and traced job event — at any shard count. These tests pin that
 //! contract across:
@@ -75,7 +77,8 @@ fn fingerprint(mut r: SimResult) -> String {
     )
 }
 
-/// Serial-engine fingerprints for every comparison policy on a scenario.
+/// One-shard, sequential-worker fingerprints for every comparison policy
+/// on a scenario.
 fn serial_fingerprints(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig) -> Vec<String> {
     let cluster = arena::cluster::presets::physical_testbed();
     pinned_policies()
@@ -83,15 +86,13 @@ fn serial_fingerprints(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig)
         .map(|mut policy| {
             let service = PlanService::new(&cluster, CostParams::default(), 17);
             let obs = Obs::enabled();
-            fingerprint(simulate_with_faults_traced(
-                &cluster,
-                jobs,
-                policy.as_mut(),
-                &service,
-                cfg,
-                faults,
-                &obs,
-            ))
+            fingerprint(
+                Sim::new(&cluster, policy.as_mut(), &service, cfg)
+                    .faults(faults)
+                    .obs(&obs)
+                    .run(jobs)
+                    .expect("valid trace"),
+            )
         })
         .collect()
 }
@@ -109,23 +110,21 @@ fn sharded_fingerprints(
         .map(|mut policy| {
             let service = PlanService::new(&cluster, CostParams::default(), 17);
             let obs = Obs::enabled();
-            fingerprint(simulate_sharded_with_faults_traced(
-                &cluster,
-                jobs,
-                policy.as_mut(),
-                &service,
-                cfg,
-                faults,
-                &obs,
-                plan,
-            ))
+            fingerprint(
+                Sim::new(&cluster, policy.as_mut(), &service, cfg)
+                    .faults(faults)
+                    .obs(&obs)
+                    .plan(plan)
+                    .run(jobs)
+                    .expect("valid trace"),
+            )
         })
         .collect()
 }
 
 /// The tentpole assertion: for every policy, every shard count in
-/// {1, 2, 4, 8} crossed with worker pools {1, 4} reproduces the serial
-/// engine byte-for-byte.
+/// {1, 2, 4, 8} crossed with worker pools {1, 4} reproduces the one-shard
+/// run byte-for-byte.
 fn assert_shard_invariant(jobs: &[JobSpec], faults: &[FaultEvent], cfg: &SimConfig) {
     let cluster = arena::cluster::presets::physical_testbed();
     let serial = serial_fingerprints(jobs, faults, cfg);
@@ -211,16 +210,11 @@ fn decisions_carry_home_shard_provenance() {
     let service = PlanService::new(&cluster, CostParams::default(), 17);
     let obs = Obs::enabled();
     let plan = ShardPlan::per_pool(&cluster);
-    let r = simulate_sharded_with_faults_traced(
-        &cluster,
-        &jobs,
-        &mut FcfsPolicy::new(),
-        &service,
-        &cfg,
-        &[],
-        &obs,
-        &plan,
-    );
+    let r = Sim::new(&cluster, &mut FcfsPolicy::new(), &service, &cfg)
+        .obs(&obs)
+        .plan(&plan)
+        .run(&jobs)
+        .expect("valid trace");
     let jsonl = r.trace.decisions_jsonl();
     assert!(!jsonl.is_empty(), "no decisions traced");
     let stamped = jsonl
@@ -260,7 +254,7 @@ fn env_plan_respects_arena_shards() {
 #[test]
 fn env_shard_count_reproduces_serial() {
     // Whatever ARENA_SHARDS the CI matrix sets, the env-derived plan
-    // must reproduce the serial engine byte-for-byte.
+    // must reproduce the one-shard run byte-for-byte.
     let cluster = arena::cluster::presets::physical_testbed();
     let jobs = mixed_trace(10, 130.0);
     let cfg = SimConfig::new(24.0 * 3600.0);

@@ -1,7 +1,7 @@
-//! Streaming-vs-resident identity: the fleet-scale streaming driver
-//! (`simulate_stream_with_faults` — pull-based arrivals, record-fold
-//! engine, reclaimed job slots) must schedule *byte-identically* to the
-//! batch driver that materialises the whole trace. These tests pin the
+//! Streaming-vs-resident identity: a fleet-scale streaming run
+//! (`Sim::stream` — pull-based arrivals, record-fold engine, reclaimed
+//! job slots) must schedule *byte-identically* to a batch run
+//! (`Sim::run`) that materialises the whole trace. These tests pin the
 //! identity across every comparison policy, shard counts 1 and 4, and
 //! faulted/unfaulted schedules, plus the memory-budget contract: cache
 //! eviction under an arbitrarily tiny `set_mem_budget` is semantically
@@ -88,30 +88,20 @@ fn assert_stream_matches_batch(
     let batch = {
         let service = PlanService::new(&cluster, CostParams::default(), 17);
         let mut policy = policy_by_name(policy_name, 1).expect("known policy");
-        simulate_sharded_with_faults(
-            &cluster,
-            jobs,
-            policy.as_mut(),
-            &service,
-            &cfg,
-            faults,
-            &plan,
-        )
+        Sim::new(&cluster, policy.as_mut(), &service, &cfg)
+            .faults(faults)
+            .plan(&plan)
+            .run(jobs)
+            .expect("valid trace")
     };
     let stream = {
         let service = PlanService::new(&cluster, CostParams::default(), 17);
         let mut policy = policy_by_name(policy_name, 1).expect("known policy");
-        simulate_stream_with_faults(
-            &cluster,
-            policy.as_mut(),
-            &service,
-            &mut VecSource::new(jobs.to_vec()),
-            faults,
-            &cfg,
-            &Obs::disabled(),
-            &plan,
-        )
-        .expect("in-memory source cannot fail")
+        Sim::new(&cluster, policy.as_mut(), &service, &cfg)
+            .faults(faults)
+            .plan(&plan)
+            .stream(&mut VecSource::new(jobs.to_vec()))
+            .expect("in-memory source cannot fail")
     };
 
     let ctx = format!(
@@ -182,15 +172,10 @@ fn run_with_budget(
     service.set_mem_budget(budget);
     service.estimator().set_mem_budget(budget);
     let mut policy = policy_by_name(policy_name, 1).expect("known policy");
-    let summary = simulate_stream(
-        &cluster,
-        policy.as_mut(),
-        &service,
-        &mut VecSource::new(jobs.to_vec()),
-        &cfg,
-        &plan,
-    )
-    .expect("in-memory source cannot fail");
+    let summary = Sim::new(&cluster, policy.as_mut(), &service, &cfg)
+        .plan(&plan)
+        .stream(&mut VecSource::new(jobs.to_vec()))
+        .expect("in-memory source cannot fail");
     let evictions = service
         .mem_report()
         .iter()
